@@ -215,128 +215,6 @@ BENCHMARK(BM_IterativeRunUntil)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// --- Locality A/B (DESIGN.md §14) ------------------------------------------
-// The contended release shapes twice over: mode 0 = flat round-robin steal
-// sweep (all locality knobs off, the seed behavior), mode 1 = pinned
-// workers + adaptive victim selection + slab-affine placement.  Both modes
-// live in one binary so `run_scheduler_bench.py --locality` can interleave
-// them via --benchmark_filter and compare medians without a rebuild.
-tf::WorkStealingOptions locality_mode_options(int mode) {
-  tf::WorkStealingOptions opt;
-  if (mode == 1) {
-    opt.pin_workers = true;
-    opt.adaptive_steal = true;
-    opt.slab_affinity = true;
-  }
-  return opt;
-}
-
-// One source releasing a wide middle layer in a single batch: the batched
-// release either round-robins successors through wake-ups (flat) or keeps
-// same-slab successors on the releasing worker's LIFO end (slab-affine),
-// while the thieves' probe order decides how fast the remainder drains.
-void BM_ContendedFanOut(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const int fanout = static_cast<int>(state.range(1));
-  auto executor = tf::make_executor(4, locality_mode_options(mode));
-  for (auto _ : state) run_fanout_burst(executor, fanout);
-  state.counters["tasks/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * (fanout + 2),
-      benchmark::Counter::kIsRate);
-  state.counters["steals"] = static_cast<double>(executor->num_steals());
-  state.counters["wakes"] = static_cast<double>(executor->num_wakes());
-}
-BENCHMARK(BM_ContendedFanOut)
-    ->Args({0, 1024})
-    ->Args({1, 1024})
-    ->Args({0, 4096})
-    ->Args({1, 4096})
-    ->Unit(benchmark::kMillisecond);
-
-// Chains against a thieving pool.  With more chains than workers each chain
-// completion triggers a fresh steal hunt; with fewer chains than workers the
-// surplus workers are pure thieves that the balance heuristic keeps waking
-// into a dry system - the flat sweep yield-spins through its whole backoff
-// (steal_rounds + spin_tries) before re-parking, while the adaptive arm's
-// dry-streak give-up parks after a handful of widest-tier sweeps.
-void BM_ContendedChains(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const int chains = static_cast<int>(state.range(1));
-  const auto workers = static_cast<std::size_t>(state.range(2));
-  constexpr int kLength = 256;
-  auto executor = tf::make_executor(workers, locality_mode_options(mode));
-  for (auto _ : state) {
-    tf::Taskflow tf(executor);
-    std::atomic<long> value{0};
-    auto source = tf.emplace([] {});
-    for (int c = 0; c < chains; ++c) {
-      tf::Task prev = source;
-      for (int i = 0; i < kLength; ++i) {
-        auto t = tf.emplace(
-            [&value] { value.fetch_add(1, std::memory_order_relaxed); });
-        prev.precede(t);
-        prev = t;
-      }
-    }
-    tf.wait_for_all();
-    benchmark::DoNotOptimize(value.load());
-  }
-  state.counters["tasks/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * chains * kLength,
-      benchmark::Counter::kIsRate);
-  state.counters["steals"] = static_cast<double>(executor->num_steals());
-}
-BENCHMARK(BM_ContendedChains)
-    ->Args({0, 16, 4})
-    ->Args({1, 16, 4})
-    ->Args({0, 2, 8})
-    ->Args({1, 2, 8})
-    ->Unit(benchmark::kMillisecond);
-
-// A chain whose every step also releases `width` small leaves, run on a pool
-// that parks between releases (spin_tries = 0, more workers than the shape
-// keeps busy): the dominant cost is the wake fan-out per release.  The flat
-// batch path wakes one parked worker per pushed successor, so each step pays
-// up to `width` futex round-trips; slab-affine placement keeps the same-slab
-// leaves on the releasing worker's own queue and wakes at most one spare,
-// one futex per step regardless of width.
-void BM_BurstyChain(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const int width = static_cast<int>(state.range(1));
-  const auto workers = static_cast<std::size_t>(state.range(2));
-  constexpr int kSteps = 64;
-  tf::WorkStealingOptions opt = locality_mode_options(mode);
-  opt.spin_tries = 0;  // park immediately: wake traffic IS the workload
-  auto executor = tf::make_executor(workers, opt);
-  for (auto _ : state) {
-    tf::Taskflow tf(executor);
-    std::atomic<long> value{0};
-    tf::Task prev = tf.emplace([] {});
-    for (int s = 0; s < kSteps; ++s) {
-      for (int i = 0; i < width; ++i) {
-        auto leaf = tf.emplace(
-            [&value] { value.fetch_add(1, std::memory_order_relaxed); });
-        prev.precede(leaf);
-      }
-      auto next = tf.emplace(
-          [&value] { value.fetch_add(1, std::memory_order_relaxed); });
-      prev.precede(next);
-      prev = next;
-    }
-    tf.wait_for_all();
-    benchmark::DoNotOptimize(value.load());
-  }
-  state.counters["tasks/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kSteps * (width + 1),
-      benchmark::Counter::kIsRate);
-  state.counters["wakes"] = static_cast<double>(executor->num_wakes());
-  state.counters["parks"] = static_cast<double>(executor->num_parks());
-}
-BENCHMARK(BM_BurstyChain)
-    ->Args({0, 8, 8})
-    ->Args({1, 8, 8})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -443,20 +443,6 @@ WorkStealingExecutor::WorkStealingExecutor(std::size_t num_workers,
                                            WorkStealingOptions options)
     : _options(options) {
   if (num_workers == 0) num_workers = 1;
-  _locality = options.pin_workers || options.adaptive_steal || options.slab_affinity;
-
-  // Locality layer (DESIGN.md §14), built once before any thread starts.
-  // Topology discovery and the per-worker victim orders exist only when a
-  // locality option asked for them; the default construction path allocates
-  // nothing extra.
-  std::vector<std::size_t> assignment;
-  if (_locality) {
-    _topology = support::CpuTopology::discover();
-    if (options.pin_workers) {
-      assignment = _topology.assign(num_workers, options.numa_policy);
-    }
-  }
-
   _workers.reserve(num_workers);
   for (std::size_t i = 0; i < num_workers; ++i) {
     auto w = std::make_unique<Worker>(0x9e3779b97f4a7c15ULL ^ (i * 0xbf58476d1ce4e5b9ULL));
@@ -465,22 +451,6 @@ WorkStealingExecutor::WorkStealingExecutor(std::size_t num_workers,
     // skipped while last_victim == id, so the first sweep starts unbiased
     // instead of trusting a neighbour nothing was ever stolen from.
     w->last_victim = i;
-    if (_locality) {
-      w->locality = std::make_unique<WorkerLocality>();
-      // Victim locality tiers: with pinned workers, distance comes from the
-      // CPU assignment (same core < same node < remote); unpinned workers
-      // cannot know their CPU, so every victim sits in the same-node tier
-      // and the EWMA ordering alone biases the probe order.
-      std::vector<int> tier_of(num_workers, support::CpuTopology::kSameNode);
-      if (!assignment.empty()) {
-        w->locality->cpu = _topology.cpus()[assignment[i]].cpu;
-        for (std::size_t j = 0; j < num_workers; ++j) {
-          tier_of[j] = _topology.tier(assignment[i], assignment[j]);
-        }
-      }
-      tier_of[i] = -1;  // never steal from yourself
-      w->locality->order.assign(tier_of, support::CpuTopology::kTiers);
-    }
     _workers.push_back(std::move(w));
   }
   _threads.reserve(num_workers);
@@ -512,26 +482,7 @@ void WorkStealingExecutor::dump_state(std::ostream& os) const {
      << ", parks=" << _parks.load(std::memory_order_relaxed)
      << ", wakes=" << _wakes.load(std::memory_order_relaxed) << "\n";
   for (const auto& w : _workers) {
-    os << "  worker " << w->id << ": queue_depth=" << w->queue.size();
-    if (w->locality != nullptr) {
-      const auto& loc = *w->locality;
-      os << ", cpu=" << loc.cpu
-         << ", steals[core/node/remote/central]="
-         << loc.tier_steals[0].load(std::memory_order_relaxed) << "/"
-         << loc.tier_steals[1].load(std::memory_order_relaxed) << "/"
-         << loc.tier_steals[2].load(std::memory_order_relaxed) << "/"
-         << loc.tier_steals[3].load(std::memory_order_relaxed)
-         << ", steal_attempts="
-         << loc.steal_attempts.load(std::memory_order_relaxed)
-         << ", slab_placements="
-         << loc.slab_placements.load(std::memory_order_relaxed);
-      const auto top = loc.order.top_victim();
-      if (top != detail::VictimOrder::kNone) {
-        os << ", top_victim=" << top << " (score=" << loc.order.score(top)
-           << ")";
-      }
-    }
-    os << "\n";
+    os << "  worker " << w->id << ": queue_depth=" << w->queue.size() << "\n";
   }
 }
 
@@ -546,48 +497,7 @@ ExecutorInterface::SchedulerStats WorkStealingExecutor::stats() const {
   s.cache_hits = _cache_hits.load(std::memory_order_relaxed);
   s.parks = _parks.load(std::memory_order_relaxed);
   s.wakes = _wakes.load(std::memory_order_relaxed);
-  for (const auto& w : _workers) {
-    if (w->locality == nullptr) continue;
-    const auto& loc = *w->locality;
-    s.steals_same_core += loc.tier_steals[0].load(std::memory_order_relaxed);
-    s.steals_same_node += loc.tier_steals[1].load(std::memory_order_relaxed);
-    s.steals_remote += loc.tier_steals[2].load(std::memory_order_relaxed);
-    s.steals_central += loc.tier_steals[3].load(std::memory_order_relaxed);
-    s.slab_placements += loc.slab_placements.load(std::memory_order_relaxed);
-  }
   return s;
-}
-
-std::size_t WorkStealingExecutor::num_tier_steals(int tier) const noexcept {
-  std::size_t n = 0;
-  if (tier < 0 || tier > 3) return n;
-  for (const auto& w : _workers) {
-    if (w->locality != nullptr) {
-      n += w->locality->tier_steals[static_cast<std::size_t>(tier)].load(
-          std::memory_order_relaxed);
-    }
-  }
-  return n;
-}
-
-std::size_t WorkStealingExecutor::num_steal_attempts() const noexcept {
-  std::size_t n = 0;
-  for (const auto& w : _workers) {
-    if (w->locality != nullptr) {
-      n += w->locality->steal_attempts.load(std::memory_order_relaxed);
-    }
-  }
-  return n;
-}
-
-std::size_t WorkStealingExecutor::num_slab_placements() const noexcept {
-  std::size_t n = 0;
-  for (const auto& w : _workers) {
-    if (w->locality != nullptr) {
-      n += w->locality->slab_placements.load(std::memory_order_relaxed);
-    }
-  }
-  return n;
 }
 
 bool WorkStealingExecutor::all_queues_empty() const noexcept {
@@ -631,10 +541,6 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
 
   if (tls_worker.executor == this) {
     auto* w = static_cast<Worker*>(tls_worker.worker);
-    if (_options.slab_affinity && w->locality != nullptr) {
-      schedule_batch_affine(*w, nodes, n);
-      return;
-    }
     std::size_t i = 0;
     // The first ready successor continues on this worker (linear-chain /
     // depth-first fast path); the rest go to the local queue in one sweep.
@@ -684,75 +590,6 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
     if (k > 0) _wakes.fetch_add(k, std::memory_order_relaxed);
     for (std::size_t j = 0; j < k; ++j) to_wake[j]->cv.notify_one();
     if (k < 16) break;  // remainder already spilled under the last lock
-  }
-}
-
-void WorkStealingExecutor::schedule_batch_affine(Worker& w, Node* const* nodes,
-                                                 std::size_t n) {
-  // Slab-affine placement (DESIGN.md §14): split the ready batch around the
-  // releasing worker's *current* arena slab.  Cold successors (other slabs)
-  // are pushed first, so they sit at the deque's steal (FIFO) end where
-  // woken thieves take them; hot successors (same slab - memory this core
-  // just touched) are pushed last, at the owner's (LIFO) end, and one of
-  // them goes straight into the worker cache.  Thieves therefore drain the
-  // batch cold-first while hot graph memory stays on the core that owns it.
-  static thread_local std::vector<Node*> hot;
-  hot.clear();
-  // Membership in the current slab is a pure range test against the span
-  // cached by worker_loop - no arena scan per successor.
-  const std::byte* const slab_base = w.locality->slab_base;
-  const std::byte* const slab_end = w.locality->slab_end;
-  std::size_t pushed = 0;
-  Node* cache = nullptr;
-  const bool want_cache = _options.enable_worker_cache && w.cache == nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto* q = reinterpret_cast<const std::byte*>(nodes[i]);
-    if (q >= slab_base && q < slab_end) {
-      hot.push_back(nodes[i]);
-      continue;
-    }
-    if (cache == nullptr && want_cache && hot.empty()) {
-      cache = nodes[i];  // provisional: an affine node replaces it below
-      continue;
-    }
-    w.queue.push(nodes[i]);
-    ++pushed;
-  }
-  const std::size_t cold_pushed = pushed;
-  if (!hot.empty()) {
-    w.locality->slab_placements.fetch_add(hot.size(), std::memory_order_relaxed);
-    if (want_cache) {
-      // Prefer continuing on hot memory: a provisional cold cache pick goes
-      // to the queue ahead of the hot group, and the cache takes an affine
-      // node instead.
-      if (cache != nullptr) {
-        w.queue.push(cache);
-        ++pushed;
-      }
-      cache = hot.back();
-      hot.pop_back();
-    }
-    for (Node* node : hot) {
-      w.queue.push(node);
-      ++pushed;
-    }
-  }
-  if (cache != nullptr) {
-    w.cache = cache;
-    _cache_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (pushed == 0) return;
-  // One Dekker fence + one wake pass, as in the flat batch path - but the
-  // wake count follows the *cold* tasks (plus one spare when hot work could
-  // still overflow this worker), so a hot batch is not scattered across
-  // wakeups just because idlers exist; parked workers that do wake steal
-  // cold-first by construction.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const int idlers = _num_idlers.load(std::memory_order_relaxed);
-  if (idlers > 0) {
-    const std::size_t want =
-        std::min(pushed, cold_pushed + (pushed > cold_pushed + 1 ? 1 : 0));
-    if (want > 0) wake_n(std::min(want, static_cast<std::size_t>(idlers)));
   }
 }
 
@@ -819,9 +656,6 @@ Node* WorkStealingExecutor::claim_central() {
 }
 
 Node* WorkStealingExecutor::steal_pass(Worker& w) {
-  if (_options.adaptive_steal && w.locality != nullptr) {
-    return steal_pass_adaptive(w);
-  }
   const std::size_t n = _workers.size();
   // Try the remembered last victim first (Algorithm 1 line 3); last_victim
   // only ever holds a *proven* victim (set on successful steals below) or
@@ -847,81 +681,11 @@ Node* WorkStealingExecutor::steal_pass(Worker& w) {
   return claim_central();
 }
 
-Node* WorkStealingExecutor::steal_pass_adaptive(Worker& w) {
-  // Adaptive victim selection (DESIGN.md §14): probe near tiers first (same
-  // core, then same node, then remote), most-productive victim first within
-  // each tier (EWMA order), and only widen the sweep to a farther tier when
-  // every nearer one came up dry on a previous pass.  A success narrows the
-  // next pass back to the tier that produced it, so a worker feeding off a
-  // hot neighbour never pays full sweeps; repeated dry passes escalate
-  // outward one tier at a time instead of hammering all queues at once.
-  WorkerLocality& loc = *w.locality;
-  const double alpha = _options.steal_ewma_alpha;
-  const int tiers = loc.order.num_tiers();
-  std::size_t attempts = 0;  // batched into the atomic once per pass
-  for (int t = 0; t < tiers && t <= loc.sweep_width; ++t) {
-    for (const std::uint32_t v : loc.order.tier(t)) {
-      ++attempts;
-      Worker& victim = *_workers[v];
-      // Cheap emptiness probe (two relaxed loads) before the fenced steal:
-      // most probes of a dry system hit empty queues, and skipping the
-      // seq_cst fence + CAS attempt there is most of this path's win.
-      if (victim.queue.empty()) {
-        loc.order.report(v, false, alpha);
-        continue;
-      }
-      if (auto task = victim.queue.steal()) {
-        loc.order.report(v, true, alpha);
-        loc.tier_steals[static_cast<std::size_t>(t)].fetch_add(
-            1, std::memory_order_relaxed);
-        loc.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
-        _steals.fetch_add(1, std::memory_order_relaxed);
-        w.last_victim = v;
-        loc.sweep_width = t;  // success this near: stay near next pass
-        loc.dry_streak = 0;
-        return *task;
-      }
-      loc.order.report(v, false, alpha);
-    }
-  }
-  if (attempts > 0) {
-    loc.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
-  }
-  // Every probed tier was dry: widen the next pass by one tier.  Once the
-  // sweep is already maximally wide, further dry passes feed the give-up
-  // streak that eventually sends this worker to park (worker_loop) instead
-  // of yield-spinning through a starved system.
-  if (loc.sweep_width + 1 < tiers) {
-    ++loc.sweep_width;
-  } else {
-    ++loc.dry_streak;
-  }
-  if (Node* t = claim_central()) {
-    loc.tier_steals[3].fetch_add(1, std::memory_order_relaxed);
-    loc.dry_streak = 0;
-    return t;
-  }
-  return nullptr;
-}
-
-bool WorkStealingExecutor::steal_exhausted(const Worker& w) const noexcept {
-  // Terminal adaptive backoff (DESIGN.md §14): the worker has swept its
-  // widest tier adaptive_park_patience times in a row - plus the central
-  // queue - without finding anything.  Parking now is safe (park() re-checks
-  // under the lock and producers wake idlers on every push); it removes a
-  // provably-starved thief from the CPU rotation rather than letting it
-  // yield-spin against the workers that still have work to publish.
-  return _options.adaptive_steal && _options.adaptive_park_patience > 0 &&
-         w.locality != nullptr &&
-         w.locality->dry_streak >= _options.adaptive_park_patience;
-}
-
 Node* WorkStealingExecutor::try_pop_or_steal(Worker& w) {
   if (auto t = w.queue.pop()) return *t;
 
   for (int round = 0; round < _options.steal_rounds; ++round) {
     if (Node* t = steal_pass(w)) return t;
-    if (steal_exhausted(w)) break;  // adaptive give-up: park, don't yield
     std::this_thread::yield();
   }
   // Last-chance central probe: external submissions must drain even when
@@ -935,9 +699,6 @@ Node* WorkStealingExecutor::spin_for_work(Worker& w) {
   // not registered as an idler while spinning, so producers skip the wake
   // syscall entirely and the spinner picks the task up via steal_pass.
   for (int spin = 0; spin < _options.spin_tries; ++spin) {
-    // Adaptive give-up: once the dry streak crosses the patience threshold
-    // mid-spin, fall through to park instead of finishing the backoff.
-    if (steal_exhausted(w)) return nullptr;
     const int pauses = 1 << std::min(spin, 6);
     for (int p = 0; p < pauses; ++p) spin_pause();
     // Donate the time slice once backoff saturates (essential on hosts with
@@ -990,24 +751,13 @@ void WorkStealingExecutor::worker_loop(Worker& w) {
   tls_worker.executor = this;
   tls_worker.worker = &w;
 
-  // Locality layer: pin this thread to its assigned CPU before touching any
-  // work, and track the arena slab of the executing task only when the
-  // slab-affinity knob asked for it (the cookie lookup is O(slabs)).
-  if (w.locality != nullptr && w.locality->cpu >= 0) {
-    support::pin_current_thread(w.locality->cpu);
-  }
-  const bool track_slab = _options.slab_affinity && w.locality != nullptr;
-
   Node* task = nullptr;
   for (;;) {
     task = try_pop_or_steal(w);
-    if (task == nullptr && _options.spin_tries > 0 && !steal_exhausted(w)) {
-      task = spin_for_work(w);
-    }
+    if (task == nullptr && _options.spin_tries > 0) task = spin_for_work(w);
     if (task == nullptr) {
       Node* handed = nullptr;
       if (!park(w, handed)) break;
-      if (w.locality != nullptr) w.locality->dry_streak = 0;  // fresh wakeup
       task = handed;
       // Algorithm 1 line 14: a precise wakeup may have deposited a task
       // directly into our cache.
@@ -1020,19 +770,6 @@ void WorkStealingExecutor::worker_loop(Worker& w) {
     // Algorithm 1 lines 16-25: execute, then keep draining the cache so a
     // linear chain runs back-to-back without any queue operation.
     while (task != nullptr) {
-      if (track_slab) {
-        // Refresh the cached slab span only when execution actually leaves
-        // the current slab; the steady state (a worker chewing through one
-        // slab's nodes) pays two pointer compares per task.
-        WorkerLocality& loc = *w.locality;
-        const auto* q = reinterpret_cast<const std::byte*>(task);
-        if (q < loc.slab_base || q >= loc.slab_end) {
-          const auto span = task->slab_span();
-          loc.slab_base = span.base;
-          loc.slab_end = span.end;
-          loc.slab = reinterpret_cast<std::uintptr_t>(span.base);
-        }
-      }
       run_task(w.id, task);
       if (w.cache != nullptr) {
         task = w.cache;

@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/cpu_topology.hpp"
 #include "support/rng.hpp"
 #include "taskflow/error.hpp"
 #include "taskflow/graph.hpp"
@@ -119,13 +118,6 @@ class ExecutorInterface {
     std::size_t cache_hits{0};
     std::size_t parks{0};
     std::size_t wakes{0};
-    // Locality-aware scheduling counters (DESIGN.md §14); all zero unless
-    // the executor runs with adaptive/slab-affine options enabled.
-    std::size_t steals_same_core{0};
-    std::size_t steals_same_node{0};
-    std::size_t steals_remote{0};
-    std::size_t steals_central{0};   // central-queue claims from steal passes
-    std::size_t slab_placements{0};  // successors kept local for slab affinity
   };
   [[nodiscard]] virtual SchedulerStats stats() const {
     return SchedulerStats{num_workers(), 0, 0, 0, 0, 0, 0};
@@ -242,11 +234,9 @@ class ExecutorInterface {
   std::size_t _num_probes{0};  // written once before _probes_raw publishes
 };
 
-/// CPU placement shape used by WorkStealingOptions::numa_policy.
-using NumaPolicy = support::NumaPolicy;
-
-/// Tuning knobs of WorkStealingExecutor; defaults match the paper's design.
-/// The ablation bench (bench_ablation_executor) sweeps these.
+/// The four tuning knobs of WorkStealingExecutor: worker cache, balance-wake
+/// probability, steal rounds and spin tries.  Defaults match the paper's
+/// design; the ablation bench (bench_ablation_executor) sweeps them.
 struct WorkStealingOptions {
   /// Per-worker cache slot for speculative linear-chain execution
   /// (Algorithm 1 lines 16-25).  Disabling routes every task through queues.
@@ -261,43 +251,6 @@ struct WorkStealingOptions {
   /// iteration re-checks the local queue, the victims, and the central
   /// queue.  0 restores park-immediately behavior.
   int spin_tries{64};
-
-  // ---- locality layer (DESIGN.md §14); every knob defaults OFF so the
-  // ---- zero-policy hot path is exactly the flat Algorithm 1 scheduler.
-
-  /// Pin each worker thread to one logical CPU of the discovered machine
-  /// topology (sysfs on Linux; a no-op on hosts where discovery falls back
-  /// to the flat single-node shape, since pinning to "any of one node" is
-  /// what the OS does anyway - workers are still pinned to distinct CPUs).
-  bool pin_workers{false};
-  /// CPU assignment shape when pinning: compact fills one NUMA node's cores
-  /// before the next (dense cache/memory sharing), scatter round-robins
-  /// workers across nodes (aggregate bandwidth).
-  NumaPolicy numa_policy{NumaPolicy::compact};
-  /// Adaptive steal-victim selection: probe victims near-first (same core,
-  /// then same NUMA node, then remote), ordered within each tier by an EWMA
-  /// of past steal success, and widen the sweep to farther tiers only after
-  /// nearer ones run dry (per-worker adaptive backoff).  Replaces the flat
-  /// random sweep of steal_pass.
-  bool adaptive_steal{false};
-  /// EWMA smoothing factor of the per-victim success score (0 < a <= 1):
-  /// score <- (1-a)*score + a*outcome per probe.  Larger adapts faster,
-  /// smaller remembers longer.
-  double steal_ewma_alpha{0.25};
-  /// Terminal stage of the adaptive backoff: after this many consecutive
-  /// steal passes that swept the *widest* tier and still found nothing
-  /// (local queues and the central queue all dry), the worker skips the
-  /// spin/yield phase and parks directly, taking itself out of the CPU
-  /// rotation instead of burning cycles re-probing a starved system.  The
-  /// streak resets on any successful steal, central claim, or wakeup.
-  /// <= 0 disables give-up parking (spin_tries applies unconditionally).
-  int adaptive_park_patience{8};
-  /// Slab-affine successor placement: when a finishing task releases a
-  /// batch of successors, the ones living in the releasing worker's current
-  /// arena slab are pushed at the owner's (LIFO) end of its deque and the
-  /// rest at the steal (FIFO) end, so woken thieves drain the cold tasks
-  /// while hot graph memory stays on the core that touched it.
-  bool slab_affinity{false};
 };
 
 class WorkStealingExecutor final : public ExecutorInterface {
@@ -348,50 +301,7 @@ class WorkStealingExecutor final : public ExecutorInterface {
     return _wakes.load(std::memory_order_relaxed);
   }
 
-  /// Successful steals by locality tier, summed over workers: tier 0 = same
-  /// physical core, 1 = same NUMA node, 2 = remote node, 3 = central-queue
-  /// claims from adaptive steal passes.  All zero without adaptive_steal.
-  [[nodiscard]] std::size_t num_tier_steals(int tier) const noexcept;
-
-  /// Victim probes issued by adaptive steal passes (success + failure),
-  /// summed over workers; 0 without adaptive_steal.  steals/attempts is the
-  /// steal success rate bench_micro_steal reports.
-  [[nodiscard]] std::size_t num_steal_attempts() const noexcept;
-
-  /// Successors kept on their releasing worker's queue because they share
-  /// its current arena slab; 0 without slab_affinity.
-  [[nodiscard]] std::size_t num_slab_placements() const noexcept;
-
-  /// The machine topology the executor discovered (meaningful only when a
-  /// locality option is on; flat fallback otherwise).
-  [[nodiscard]] const support::CpuTopology& topology() const noexcept {
-    return _topology;
-  }
-
  private:
-  /// Per-worker locality state, allocated only when a locality option is on
-  /// so the default Worker stays unchanged.  The atomics are diagnostic
-  /// counters (read by dump_state/stats from other threads); everything
-  /// else is owned by the worker thread.
-  struct WorkerLocality {
-    detail::VictimOrder order;  // tier-bucketed, EWMA-ordered steal victims
-    int cpu{-1};                // pinned logical CPU, -1 when unpinned
-    std::uintptr_t slab{0};     // arena slab of the task being executed
-    // Cached [base, end) of that slab: membership of successors is two
-    // pointer compares instead of an O(slabs) arena scan per node (live
-    // slab ranges never overlap, so the range identifies the slab).  A
-    // span left over from a destroyed graph can at worst misclassify a
-    // successor's hot/cold placement - a benign heuristic miss that heals
-    // on the next out-of-span task - never a correctness issue.
-    const std::byte* slab_base{nullptr};
-    const std::byte* slab_end{nullptr};
-    int sweep_width{0};         // widest tier probed; adaptive backoff state
-    int dry_streak{0};          // consecutive widest-sweep dry passes
-    std::array<std::atomic<std::size_t>, 4> tier_steals{};  // core/node/remote/central
-    std::atomic<std::size_t> steal_attempts{0};
-    std::atomic<std::size_t> slab_placements{0};
-  };
-
   struct Worker {
     WorkStealingQueue<Node*> queue;
     Node* cache{nullptr};
@@ -400,26 +310,17 @@ class WorkStealingExecutor final : public ExecutorInterface {
     std::size_t id{0};
     std::size_t last_victim{0};
     support::Xoshiro256 rng;
-    std::unique_ptr<WorkerLocality> locality;  // null unless locality is on
     explicit Worker(std::uint64_t seed) : rng(seed) {}
   };
 
   void worker_loop(Worker& w);
-  /// True when the adaptive dry streak says this worker should stop
-  /// spinning and park (see WorkStealingOptions::adaptive_park_patience).
-  [[nodiscard]] bool steal_exhausted(const Worker& w) const noexcept;
   /// One pass: pop the local queue, then steal_rounds sweeps, then the
   /// central queue.
   Node* try_pop_or_steal(Worker& w);
   /// One sweep over all victims (last-victim first) plus the central queue.
   Node* steal_pass(Worker& w);
-  /// Adaptive variant (DESIGN.md §14): EWMA-ordered near-first tier sweep
-  /// with per-worker backoff; used when options.adaptive_steal is set.
-  Node* steal_pass_adaptive(Worker& w);
   /// Claim one task from the central overflow queue (steal-pass tail).
   Node* claim_central();
-  /// Worker-context batch publish with slab-affine ordering (DESIGN.md §14).
-  void schedule_batch_affine(Worker& w, Node* const* nodes, std::size_t n);
   /// Bounded exponential-backoff spin before parking; returns a task if one
   /// arrives within the spin window, else nullptr.
   Node* spin_for_work(Worker& w);
@@ -436,8 +337,6 @@ class WorkStealingExecutor final : public ExecutorInterface {
   [[nodiscard]] bool all_queues_empty() const noexcept;
 
   WorkStealingOptions _options;
-  bool _locality{false};  // any locality option on (computed once)
-  support::CpuTopology _topology;  // discovered only when _locality
   std::vector<std::unique_ptr<Worker>> _workers;
   std::vector<std::thread> _threads;
 

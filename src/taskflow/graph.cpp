@@ -1,10 +1,12 @@
 #include "taskflow/graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,6 +26,57 @@ void alloc_failure_check() {
   if (alloc_failure_countdown.fetch_sub(1, std::memory_order_relaxed) == 0) {
     throw std::bad_alloc();
   }
+}
+
+namespace {
+
+// At most 32 released slabs and 8 MiB, leaked so that graphs destroyed during
+// static teardown still find it.  AddressSanitizer builds skip the cache so
+// uses of a destroyed graph's memory are still reported.
+struct SlabCache {
+  std::mutex mutex;
+  std::array<std::pair<void*, std::size_t>, 32> slabs{};
+  std::size_t count{0};
+  std::size_t bytes{0};
+};
+constexpr std::size_t kSlabCacheBytes = std::size_t{8} << 20;
+SlabCache& slab_cache() {
+  static auto* cache = new SlabCache;
+  return *cache;
+}
+
+}  // namespace
+
+void* acquire_slab(std::size_t bytes) {
+#if !defined(__SANITIZE_ADDRESS__)
+  {
+    SlabCache& c = slab_cache();
+    std::scoped_lock lock(c.mutex);
+    for (std::size_t i = 0; i < c.count; ++i) {
+      if (c.slabs[i].second != bytes) continue;
+      void* slab = c.slabs[i].first;
+      c.slabs[i] = c.slabs[--c.count];
+      c.bytes -= bytes;
+      return slab;
+    }
+  }
+#endif
+  return ::operator new(bytes, std::align_val_t{GraphArena::kSlabAlignment});
+}
+
+void recycle_slab(void* slab, std::size_t bytes) noexcept {
+#if !defined(__SANITIZE_ADDRESS__)
+  {
+    SlabCache& c = slab_cache();
+    std::scoped_lock lock(c.mutex);
+    if (c.count < c.slabs.size() && c.bytes + bytes <= kSlabCacheBytes) {
+      c.slabs[c.count++] = {slab, bytes};
+      c.bytes += bytes;
+      return;
+    }
+  }
+#endif
+  ::operator delete(slab, std::align_val_t{GraphArena::kSlabAlignment});
 }
 
 }  // namespace detail

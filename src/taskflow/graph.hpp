@@ -124,6 +124,12 @@ inline void disarm_alloc_failure() noexcept {
 }
 void alloc_failure_check();  // throws std::bad_alloc when armed and expired
 
+/// GraphArena slab storage (DESIGN.md §10): a 64-byte-aligned block, taken
+/// from a bounded process-wide cache of released slabs of the same size when
+/// there is one, so a fresh graph per request reuses the last one's memory.
+[[nodiscard]] void* acquire_slab(std::size_t bytes);
+void recycle_slab(void* slab, std::size_t bytes) noexcept;  // cache or free
+
 /// Resilience state of one node, allocated lazily by Task::retry /
 /// Task::fallback.  Nodes without policies keep a null pointer, so the
 /// zero-policy execution hot path never touches (or allocates) any of this -
@@ -226,9 +232,7 @@ class GraphArena {
 
   /// Free every slab (Graph::clear / destruction).
   void release() noexcept {
-    for (Slab& s : _slabs) {
-      ::operator delete(s.data, std::align_val_t{kSlabAlignment});
-    }
+    for (Slab& s : _slabs) recycle_slab(s.data, s.size);
     _slabs.clear();
     _active = 0;
   }
@@ -236,47 +240,13 @@ class GraphArena {
   /// Drop slabs not touched since the last reset (Graph::shrink_to_fit).
   void shrink_to_fit() noexcept {
     while (!_slabs.empty() && _slabs.back().used == 0) {
-      ::operator delete(_slabs.back().data, std::align_val_t{kSlabAlignment});
+      recycle_slab(_slabs.back().data, _slabs.back().size);
       _slabs.pop_back();
     }
     if (_active >= _slabs.size() && _active > 0) {
       _active = _slabs.empty() ? 0 : _slabs.size() - 1;
     }
     _slabs.shrink_to_fit();
-  }
-
-  /// Identity of the slab containing `p` - its base address - or 0 when `p`
-  /// was not carved from this arena.  O(num_slabs) scan, cheap because slab
-  /// growth is geometric (even a million-node graph holds a few dozen
-  /// slabs); used only by the opt-in slab-affinity scheduler path
-  /// (DESIGN.md §14), never on the default hot path.
-  [[nodiscard]] std::uintptr_t slab_cookie(const void* p) const noexcept {
-    const std::byte* q = static_cast<const std::byte*>(p);
-    for (const Slab& s : _slabs) {
-      if (q >= s.data && q < s.data + s.size) {
-        return reinterpret_cast<std::uintptr_t>(s.data);
-      }
-    }
-    return 0;
-  }
-
-  /// Half-open address range of the slab containing `p`, {nullptr, nullptr}
-  /// when `p` was not carved from this arena.  Lets the scheduler cache one
-  /// slab membership test as two pointer compares (slab ranges of live
-  /// arenas never overlap, so the range identifies the slab globally)
-  /// instead of re-running the cookie scan per task.
-  struct SlabSpan {
-    const std::byte* base{nullptr};
-    const std::byte* end{nullptr};
-  };
-  [[nodiscard]] SlabSpan slab_span(const void* p) const noexcept {
-    const std::byte* q = static_cast<const std::byte*>(p);
-    for (const Slab& s : _slabs) {
-      if (q >= s.data && q < s.data + s.size) {
-        return SlabSpan{s.data, s.data + s.size};
-      }
-    }
-    return SlabSpan{};
   }
 
   // Introspection for tests and reports.
@@ -302,9 +272,7 @@ class GraphArena {
   [[nodiscard]] static Slab make_slab(std::size_t bytes) {
     alloc_failure_check();  // test hook: no-op unless armed
     bytes = (bytes + kSlabAlignment - 1) & ~(kSlabAlignment - 1);
-    return Slab{static_cast<std::byte*>(
-                    ::operator new(bytes, std::align_val_t{kSlabAlignment})),
-                bytes, 0};
+    return Slab{static_cast<std::byte*>(acquire_slab(bytes)), bytes, 0};
   }
 
   void grow(std::size_t min_bytes) {
@@ -397,14 +365,6 @@ class Node {
 
   /// True once this node has spawned a (non-empty or empty) subflow.
   [[nodiscard]] bool has_subgraph() const noexcept { return _subgraph != nullptr; }
-
-  /// The arena slab this node lives in (see Graph::slab_cookie); 0 when the
-  /// node has no owning graph.
-  [[nodiscard]] std::uintptr_t slab_cookie() const noexcept;
-
-  /// Address range of that slab ({nullptr, nullptr} without an owning
-  /// graph); lets callers cache slab membership as two pointer compares.
-  [[nodiscard]] detail::GraphArena::SlabSpan slab_span() const noexcept;
 
   /// True when a retry policy or fallback is attached (Task::retry/fallback).
   [[nodiscard]] bool has_policy() const noexcept { return _policy != nullptr; }
@@ -619,20 +579,6 @@ class Graph {
   void set_node_name(const Node& node, std::string name);
   [[nodiscard]] const std::string& node_name(const Node& node) const noexcept;
 
-  /// The arena slab a node lives in (slab base address as an opaque id; 0
-  /// for a node not of this graph).  The physical-home query behind the
-  /// scheduler's slab-affine placement: two nodes with equal non-zero
-  /// cookies share one contiguous slab of graph memory.
-  [[nodiscard]] std::uintptr_t slab_cookie(const Node& node) const noexcept {
-    return _arena.slab_cookie(&node);
-  }
-
-  /// Address range of the slab a node lives in (see GraphArena::slab_span).
-  [[nodiscard]] detail::GraphArena::SlabSpan slab_span(
-      const Node& node) const noexcept {
-    return _arena.slab_span(&node);
-  }
-
   // Arena introspection for tests and memory reports.
   [[nodiscard]] std::size_t arena_bytes_reserved() const noexcept {
     return _arena.bytes_reserved();
@@ -673,15 +619,6 @@ inline const std::string& Node::name() const noexcept {
 inline void Node::set_name(std::string n) {
   assert(_graph != nullptr);
   _graph->set_node_name(*this, std::move(n));
-}
-
-inline std::uintptr_t Node::slab_cookie() const noexcept {
-  return _graph == nullptr ? 0 : _graph->slab_cookie(*this);
-}
-
-inline detail::GraphArena::SlabSpan Node::slab_span() const noexcept {
-  return _graph == nullptr ? detail::GraphArena::SlabSpan{}
-                           : _graph->slab_span(*this);
 }
 
 namespace detail {

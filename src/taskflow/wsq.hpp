@@ -13,9 +13,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 // ThreadSanitizer does not model standalone std::atomic_thread_fence, so the
@@ -181,117 +179,5 @@ class WorkStealingQueue {
   alignas(64) std::atomic<Array*> _array{nullptr};
   std::vector<Array*> _garbage;  // owner-only; retired arrays freed at destruction
 };
-
-namespace detail {
-
-/// Victim iteration order for adaptive steal passes (DESIGN.md §14): steal
-/// candidates bucketed into locality tiers (same core < same node < remote),
-/// each tier internally ordered by an EWMA of steal success so productive
-/// victims are probed first.  The structure is owned and mutated by exactly
-/// one worker thread; only the per-victim scores are atomic, so diagnostic
-/// reads (dump_state's "top victim") from other threads are race-free.
-///
-/// EWMA update rule (report()):  score <- (1-a)*score + a*outcome, where
-/// outcome is 1 on a successful steal and 0 on an empty/lost probe.  After
-/// each update the victim is bubbled one slot toward its deserved position
-/// inside its tier - O(1) per report, converging to sorted-by-score order
-/// over consecutive probes (an incremental insertion sort driven by the
-/// probe stream itself).
-class VictimOrder {
- public:
-  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-
-  /// Build the order for `num_workers` victims where victim `v` sits in
-  /// locality tier `tier_of[v]` (0-based, ascending distance); the owner's
-  /// own id is expected to be absent (tier < 0 entries are skipped).
-  void assign(const std::vector<int>& tier_of, int num_tiers) {
-    _scores = std::vector<std::atomic<float>>(tier_of.size());
-    for (auto& s : _scores) s.store(0.0f, std::memory_order_relaxed);
-    _order.clear();
-    _pos.assign(tier_of.size(), kNone);
-    _tier.assign(tier_of.size(), -1);
-    _tier_begin.assign(static_cast<std::size_t>(num_tiers) + 1, 0);
-    for (int t = 0; t < num_tiers; ++t) {
-      _tier_begin[static_cast<std::size_t>(t)] =
-          static_cast<std::uint32_t>(_order.size());
-      for (std::uint32_t v = 0; v < tier_of.size(); ++v) {
-        if (tier_of[v] == t) {
-          _pos[v] = static_cast<std::uint32_t>(_order.size());
-          _tier[v] = t;
-          _order.push_back(v);
-        }
-      }
-    }
-    _tier_begin.back() = static_cast<std::uint32_t>(_order.size());
-  }
-
-  [[nodiscard]] int num_tiers() const noexcept {
-    return static_cast<int>(_tier_begin.empty() ? 0 : _tier_begin.size() - 1);
-  }
-
-  /// Victims of tier `t`, most-productive first (owner thread only).
-  [[nodiscard]] std::span<const std::uint32_t> tier(int t) const noexcept {
-    const auto b = _tier_begin[static_cast<std::size_t>(t)];
-    const auto e = _tier_begin[static_cast<std::size_t>(t) + 1];
-    return {_order.data() + b, static_cast<std::size_t>(e - b)};
-  }
-
-  /// Record one probe outcome for `victim` and nudge it one slot toward its
-  /// score-sorted position within its tier.  Owner thread only.
-  void report(std::uint32_t victim, bool success, double alpha) noexcept {
-    const float old = _scores[victim].load(std::memory_order_relaxed);
-    const float next = static_cast<float>((1.0 - alpha) * old +
-                                          (success ? alpha : 0.0));
-    _scores[victim].store(next, std::memory_order_relaxed);
-    const std::uint32_t p = _pos[victim];
-    const int t = _tier[victim];
-    if (t < 0) return;
-    const std::uint32_t lo = _tier_begin[static_cast<std::size_t>(t)];
-    const std::uint32_t hi = _tier_begin[static_cast<std::size_t>(t) + 1];
-    if (success && p > lo &&
-        next > _scores[_order[p - 1]].load(std::memory_order_relaxed)) {
-      swap_slots(p, p - 1);
-    } else if (!success && p + 1 < hi &&
-               next < _scores[_order[p + 1]].load(std::memory_order_relaxed)) {
-      swap_slots(p, p + 1);
-    }
-  }
-
-  /// EWMA success score of `victim`; safe from any thread (diagnostics).
-  [[nodiscard]] float score(std::uint32_t victim) const noexcept {
-    return victim < _scores.size()
-               ? _scores[victim].load(std::memory_order_relaxed)
-               : 0.0f;
-  }
-
-  /// The victim with the highest score (kNone when empty or all-zero);
-  /// safe from any thread - computed from the atomic scores only.
-  [[nodiscard]] std::uint32_t top_victim() const noexcept {
-    std::uint32_t best = kNone;
-    float best_score = 0.0f;
-    for (std::uint32_t v = 0; v < _scores.size(); ++v) {
-      const float s = _scores[v].load(std::memory_order_relaxed);
-      if (s > best_score) {
-        best_score = s;
-        best = v;
-      }
-    }
-    return best;
-  }
-
- private:
-  void swap_slots(std::uint32_t a, std::uint32_t b) noexcept {
-    std::swap(_pos[_order[a]], _pos[_order[b]]);
-    std::swap(_order[a], _order[b]);
-  }
-
-  std::vector<std::uint32_t> _order;       // tier-major victim ids
-  std::vector<std::uint32_t> _pos;         // victim id -> slot in _order
-  std::vector<int> _tier;                  // victim id -> tier (-1 = absent)
-  std::vector<std::uint32_t> _tier_begin;  // tier t spans [begin[t], begin[t+1])
-  std::vector<std::atomic<float>> _scores; // EWMA success per victim id
-};
-
-}  // namespace detail
 
 }  // namespace tf

@@ -131,6 +131,16 @@ TEST(Alloc, UnreservedChainLogarithmicAllocations) {
   EXPECT_LE(delta, 64u) << "expected O(log n) slab/index growth, got " << delta;
 }
 
+// A destroyed graph's slab goes to the slab cache, so rebuilding the same
+// graph (one fresh Taskflow per request) takes it from there.
+TEST(Alloc, RebuiltGraphReusesFreedSlab) {
+  auto build = [] { tf::Graph g; g.reserve(4096, 0); };
+  build();
+  const std::size_t before = allocation_count();
+  build();
+  EXPECT_LE(allocation_count() - before, 2u) << "node index and slab list only";
+}
+
 // Topology recycling: run_n replays of a static graph re-arm in place -
 // join counters, sources and successor spans are all reused, so the
 // amortized heap cost per replay is O(1) (scheduler queues aside).

@@ -38,33 +38,6 @@ TEST(Arena, InlineSuccessorsNoSpill) {
   EXPECT_EQ(c.num_dependents(), 1u);
 }
 
-// Slab cookies (DESIGN.md §14): the slab-affine scheduler keys placement on
-// "which arena slab does this node live in", exposed as the slab's base
-// address.  Nodes emplaced back to back share a cookie until the slab fills;
-// foreign pointers (not arena-owned) report 0.
-TEST(Arena, SlabCookieIdentifiesOwningSlab) {
-  tf::Graph g;
-  auto& a = g.emplace_back();
-  auto& b = g.emplace_back();
-  EXPECT_NE(a.slab_cookie(), 0u);
-  EXPECT_EQ(a.slab_cookie(), b.slab_cookie());
-  EXPECT_EQ(g.slab_cookie(a), a.slab_cookie());
-
-  tf::Node detached;  // no owning graph: no cookie
-  EXPECT_EQ(detached.slab_cookie(), 0u);
-}
-
-TEST(Arena, SlabCookieChangesAcrossSlabBoundary) {
-  tf::Graph g;
-  auto& first = g.emplace_back();
-  // Keep emplacing until the arena opens a second slab; the newest node's
-  // cookie must then differ from the first node's.
-  while (g.arena_slabs() < 2 && g.size() < 100000) g.emplace_back();
-  ASSERT_GE(g.arena_slabs(), 2u);
-  EXPECT_NE(g.node_at(g.size() - 1).slab_cookie(), first.slab_cookie());
-  EXPECT_NE(g.node_at(g.size() - 1).slab_cookie(), 0u);
-}
-
 TEST(Arena, SpillPreservesOrder) {
   tf::Graph g;
   auto& hub = g.emplace_back();

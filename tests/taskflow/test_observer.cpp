@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -119,6 +120,62 @@ TEST(Observer, SkippedTasksProduceNoEvents) {
   // observer timeline records only the task that actually ran.
   EXPECT_EQ(obs->entries.load(), 1);
   EXPECT_EQ(obs->exits.load(), 0);
+}
+
+// A steal-heavy shape: a chain riding one worker's cache while each step
+// sprays leaves into that worker's queue, so the other workers live off steals.
+void run_spray_chain(const std::shared_ptr<tf::ExecutorInterface>& exec, int steps, int spray) {
+  tf::Taskflow tf(exec);
+  auto sink = tf.emplace([] {});
+  tf::Task prev;
+  for (int s = 0; s < steps; ++s) {
+    auto step = tf.emplace([] {});
+    if (s > 0) prev.precede(step);
+    for (int l = 0; l < spray; ++l) step.precede(tf.emplace([] {}).precede(sink));
+    prev = step;
+  }
+  prev.precede(sink);
+  tf.wait_for_all();
+}
+
+TEST(Observer, StealStormUnderDiagnosticProberSeesOnePairPerTask) {
+  // dump_state() and stats() read only atomics: hammering them from another
+  // thread mid-storm must not disturb the one entry/exit pair per task.
+  auto executor = tf::make_executor(4);
+  auto obs = std::make_shared<CountingObserver>();
+  executor->set_observer(obs);
+  std::atomic<bool> stop{false};
+  std::thread prober([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::ostringstream os;
+      executor->dump_state(os);
+      (void)executor->stats();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  run_spray_chain(executor, 64, 4);
+  stop.store(true);
+  prober.join();
+  EXPECT_EQ(obs->entries.load(), 64 * 5 + 1);  // chain + leaves + sink
+  EXPECT_EQ(obs->exits.load(), 64 * 5 + 1);
+}
+
+TEST(Observer, QuiescentStatsMatchSchedulerCounters) {
+  // bench/e2e derives its scheduler.*_per_op metrics from stats(); once every
+  // worker is parked it must agree exactly with the direct accessors.
+  auto executor = tf::make_executor(4);
+  for (int r = 0; r < 5; ++r) run_spray_chain(executor, 32, 4);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (executor->num_idlers() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(executor->num_idlers(), 4u);
+  const auto s = executor->stats();
+  EXPECT_EQ(s.steals, executor->num_steals());
+  EXPECT_EQ(s.cache_hits, executor->num_cache_hits());
+  EXPECT_EQ(s.parks, executor->num_parks());
+  EXPECT_EQ(s.wakes, executor->num_wakes());
+  EXPECT_GT(s.cache_hits, 0u);  // the chain rides the worker cache
 }
 
 TEST(RecordingObserver, CountsTasks) {

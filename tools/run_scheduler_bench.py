@@ -25,11 +25,6 @@ Typical use:
     # committed record
     python3 tools/run_scheduler_bench.py --compare BENCH_scheduler.json
 
-    # locality A/B: interleave the flat steal sweep against the locality
-    # layer (pinned + adaptive victims + slab-affine) on the contended
-    # benches and record the medians into BENCH_scheduler.json
-    python3 tools/run_scheduler_bench.py --locality
-
     # gate the taskflow test suite under ThreadSanitizer
     python3 tools/run_scheduler_bench.py --tsan
 
@@ -301,103 +296,6 @@ def pct(before, after):
     return round(100.0 * (after - before) / before, 1)
 
 
-# The locality A/B lane (DESIGN.md §14): the mode-parameterized contended
-# benches carry both arms in one binary - /0/... runs the flat round-robin
-# steal sweep, /1/... the full locality layer (pinned workers + adaptive
-# victim selection + slab-affine placement).  The lane interleaves the two
-# arms via --benchmark_filter across LOCALITY_AB_ROUNDS rounds (flat,
-# locality, flat, locality, ...) so slow drift on a shared host hits both
-# arms equally, then keeps each benchmark's per-arm median.  Negative
-# locality_vs_flat_pct = the locality layer is faster.
-LOCALITY_AB_BINARIES = {
-    "bench_scheduler_hotpath": [
-        "BM_ContendedFanOut",
-        "BM_ContendedChains",
-        "BM_BurstyChain",
-    ],
-    "bench_micro_steal": ["BM_StealOneProducer", "BM_StealAllToAll"],
-}
-LOCALITY_AB_ROUNDS = 5
-
-
-def _run_filtered_bench(exe, pattern, out_json):
-    """Run one google-benchmark binary under --benchmark_filter; returns
-    {bench_name: real_time_ms}."""
-    run([exe, f"--benchmark_filter={pattern}",
-         "--benchmark_format=json",
-         "--benchmark_out=" + out_json, "--benchmark_out_format=json"],
-        stdout=subprocess.DEVNULL)
-    with open(out_json) as f:
-        doc = json.load(f)
-    scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-    return {b["name"]: b["real_time"] * scale[b.get("time_unit", "ns")]
-            for b in doc.get("benchmarks", [])
-            if b.get("run_type") != "aggregate"}
-
-
-def run_locality_ab(build_dir, rounds=LOCALITY_AB_ROUNDS):
-    """Interleaved same-binary A/B of the locality layer on the contended
-    benches; returns {bench_key: {flat_ms, locality_ms, locality_vs_flat_pct,
-    rounds}}."""
-    samples = {}
-    for binary, families in sorted(LOCALITY_AB_BINARIES.items()):
-        exe = os.path.join(build_dir, "bench", binary)
-        if not os.path.exists(exe):
-            print(f"skipping {binary}: {exe} not built", file=sys.stderr)
-            continue
-        fam = "|".join(families)
-        out_json = os.path.join(build_dir, binary + "_locality_ab.json")
-        for r in range(rounds):
-            for mode, arm in ((0, "flat"), (1, "locality")):
-                res = _run_filtered_bench(exe, f"^({fam})/{mode}/", out_json)
-                for name, ms in res.items():
-                    key = name.replace(f"/{mode}/", "/", 1)
-                    samples.setdefault(key, {"flat": [], "locality": []})
-                    samples[key][arm].append(ms)
-
-    table = {}
-    for key, arms in sorted(samples.items()):
-        if not arms["flat"] or not arms["locality"]:
-            continue
-        flat = sorted(arms["flat"])[len(arms["flat"]) // 2]
-        local = sorted(arms["locality"])[len(arms["locality"]) // 2]
-        table[key] = {
-            "flat_ms": flat,
-            "locality_ms": local,
-            "locality_vs_flat_pct": pct(flat, local),
-            "rounds": rounds,
-        }
-    width = max((len(k) for k in table), default=0)
-    for key, row in sorted(table.items()):
-        print(f"  {key:<{width}}  flat {row['flat_ms']:10.4f} ms"
-              f" vs locality {row['locality_ms']:10.4f} ms"
-              f"  {row['locality_vs_flat_pct']:+6.1f}%")
-    return table
-
-
-def run_locality(args):
-    """The --locality mode: run the interleaved A/B and fold the medians
-    into the scheduler record (key `locality_ab`) without disturbing the
-    rest of the document."""
-    binaries = sorted(LOCALITY_AB_BINARIES)
-    if not args.skip_build:
-        build(args.build_dir, binaries)
-    print(f"\nlocality A/B ({LOCALITY_AB_ROUNDS} interleaved rounds, "
-          "medians; negative = locality layer faster):")
-    table = run_locality_ab(args.build_dir)
-    if not table:
-        sys.exit("error: no locality A/B benchmark produced samples")
-    doc = {}
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            doc = json.load(f)
-    doc["locality_ab"] = table
-    with open(args.output, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print("wrote", args.output)
-
-
 # The iterative-convergence pair of bench_scheduler_hotpath (in-graph
 # condition loop vs run_until resubmission, same per-lap pipeline): the
 # record carries a derived summary so the per-iteration advantage of
@@ -501,8 +399,7 @@ SANITIZER_TEST_TARGETS = [
     "test_errors", "test_cancel", "test_diagnostics", "test_fault",
     "test_executor_api", "test_function", "test_resilience", "test_arena",
     "test_admission", "test_condition", "test_composition",
-    "test_shutdown_storm", "test_server", "test_locality",
-    "test_cpu_topology",
+    "test_shutdown_storm", "test_server",
 ]
 
 
@@ -513,7 +410,7 @@ def run_sanitized(build_dir, cmake_flag, label):
     run(["cmake", "--build", build_dir, "-j", "--target"]
         + SANITIZER_TEST_TARGETS)
     run(["ctest", "--test-dir", build_dir, "--output-on-failure", "-j2",
-         "-L", "taskflow|support|service|locality"])
+         "-L", "taskflow|support|service"])
     print(f"{label}: taskflow + support + service suites clean")
 
 
@@ -709,10 +606,6 @@ def main():
                          "in percent (default: 25 - latency percentiles on "
                          "an oversubscribed small host are noisier than "
                          "throughput means)")
-    ap.add_argument("--locality", action="store_true",
-                    help="instead of recording, run the interleaved "
-                         "flat-vs-locality A/B on the contended benches and "
-                         "fold the medians into --output (key locality_ab)")
     ap.add_argument("--peak-rss", action="store_true",
                     help="instead of benchmarking, fork the construction "
                          "benches and report each binary's peak RSS "
@@ -738,9 +631,6 @@ def main():
             build(args.build_dir, CONSTRUCTION_BENCHES
                   + ([] if args.skip_service else [SERVICE_BENCH]))
         run_peak_rss(args.build_dir, rss_benches)
-        return
-    if args.locality:
-        run_locality(args)
         return
     if args.compare:
         run_compare(args)
