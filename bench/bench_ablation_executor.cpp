@@ -44,7 +44,7 @@ void BM_Chain_WorkerCache(benchmark::State& state) {
   for (auto _ : state) run_chain(executor);
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kChainLength, benchmark::Counter::kIsRate);
-  state.counters["cache_hits"] = static_cast<double>(executor->num_cache_hits());
+  state.counters["cache_hits"] = static_cast<double>(executor->stats().cache_hits);
 }
 BENCHMARK(BM_Chain_WorkerCache)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -55,7 +55,7 @@ void BM_Fan_WakeProbability(benchmark::State& state) {
   for (auto _ : state) run_fan(executor);
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kFanTasks, benchmark::Counter::kIsRate);
-  state.counters["steals"] = static_cast<double>(executor->num_steals());
+  state.counters["steals"] = static_cast<double>(executor->stats().steals);
 }
 BENCHMARK(BM_Fan_WakeProbability)->Arg(0)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
 

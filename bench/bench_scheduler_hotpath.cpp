@@ -56,7 +56,7 @@ void BM_LinearChain(benchmark::State& state) {
   }
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * length, benchmark::Counter::kIsRate);
-  state.counters["cache_hits"] = static_cast<double>(executor->num_cache_hits());
+  state.counters["cache_hits"] = static_cast<double>(executor->stats().cache_hits);
 }
 BENCHMARK(BM_LinearChain)
     ->Args({16384, 1})
@@ -70,7 +70,7 @@ void BM_FanOutBurst(benchmark::State& state) {
   for (auto _ : state) run_fanout_burst(executor, fanout);
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * (fanout + 2), benchmark::Counter::kIsRate);
-  state.counters["wakes"] = static_cast<double>(executor->num_wakes());
+  state.counters["wakes"] = static_cast<double>(executor->stats().wakes);
 }
 BENCHMARK(BM_FanOutBurst)
     ->Args({256, 4})
@@ -101,10 +101,11 @@ void BM_BurstyRepeat(benchmark::State& state) {
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kBurst * kBurstsPerIter,
       benchmark::Counter::kIsRate);
-  state.counters["parks"] = static_cast<double>(executor->num_parks());
-  state.counters["wakes"] = static_cast<double>(executor->num_wakes());
+  const auto stats = executor->stats();
+  state.counters["parks"] = static_cast<double>(stats.parks);
+  state.counters["wakes"] = static_cast<double>(stats.wakes);
   state.counters["parks/burst"] =
-      static_cast<double>(executor->num_parks()) /
+      static_cast<double>(stats.parks) /
       (static_cast<double>(state.iterations()) * kBurstsPerIter);
 }
 BENCHMARK(BM_BurstyRepeat)->Arg(0)->Arg(64)->Unit(benchmark::kMillisecond);

@@ -1,5 +1,6 @@
 #include "service/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <ostream>
@@ -55,10 +56,13 @@ void LatencyHistogram::record(std::chrono::nanoseconds latency) noexcept {
 double LatencyHistogram::percentile_us(double p) const noexcept {
   const std::uint64_t n = _count.load(std::memory_order_relaxed);
   if (n == 0) return 0;
-  if (p < 0) p = 0;
-  if (p > 100) p = 100;
-  auto target = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(n));
-  if (target == 0) target = 1;
+  p = std::clamp(p, 0.0, 100.0);
+  // Nearest rank: the smallest sample at or above which p% of the samples
+  // lie.  p * n / 100 keeps exact products exact (p / 100 * n turns p99.9
+  // of 1,000 samples into 999.0000000000001, i.e. rank 1,000).
+  const auto rank =
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n) / 100.0));
+  const std::uint64_t target = std::clamp<std::uint64_t>(rank, 1, n);
   std::uint64_t cum = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     cum += _bucket[b].load(std::memory_order_relaxed);
@@ -102,16 +106,7 @@ void render_healthz(std::ostream& os, const std::string& status,
      << "p99_us " << s.p99_us << "\n"
      << "p999_us " << s.p999_us << "\n"
      << "shed_rate " << s.shed_rate << "\n"
-     << "queue_depth " << s.executor.num_topologies << "\n"
-     << "scheduler_queue_depth " << s.executor.scheduler.queue_depth << "\n"
-     << "workers " << s.executor.scheduler.num_workers << "\n"
-     << "adm_admitted " << s.executor.admitted << "\n"
-     << "adm_rejected " << s.executor.rejected << "\n"
-     << "adm_shed " << s.executor.shed << "\n"
-     << "adm_pending " << s.executor.adm_pending << "\n"
-     << "adm_started " << s.executor.adm_started << "\n"
-     << "breaker_trips " << s.executor.breaker_trips << "\n"
-     << "breakers_open " << s.executor.breakers_open << "\n";
+     << s.executor;
 }
 
 }  // namespace tf

@@ -2,9 +2,10 @@
 // service layer (DESIGN.md §13).  One registry per tf::Server tallies every
 // request outcome exactly once, records completed-request latency into a
 // lock-free log-bucketed histogram (p50/p99/p999), and folds the owning
-// executor's admission metrics (queue depth, shed rate, breaker state,
-// admit/reject counters) into one consistent MetricsSnapshot - the payload
-// behind Server::healthz() and Server::dump_state().
+// executor's Executor::metrics() into one MetricsSnapshot - the payload
+// behind Server::healthz() and Server::dump_state().  The /healthz body is
+// the status line, the server's own lines, then the executor's key list
+// (Executor::Metrics::for_each) - the same lines the stall report prints.
 //
 // Everything on the record path is a relaxed atomic increment: clients call
 // record_outcome concurrently from dozens of threads mid-storm, and the
@@ -53,7 +54,8 @@ class LatencyHistogram {
 
   void record(std::chrono::nanoseconds latency) noexcept;
 
-  /// Approximate value (microseconds) at percentile `p` in [0, 100];
+  /// Approximate value (microseconds) of the nearest-rank sample at
+  /// percentile `p` in [0, 100] (rank ceil(p * n / 100), at least 1);
   /// 0 when the histogram is empty.
   [[nodiscard]] double percentile_us(double p) const noexcept;
 
@@ -78,7 +80,7 @@ struct MetricsSnapshot {
 
   double shed_rate{0};  // shed / submitted
 
-  Executor::Metrics executor;  // queue depth, breaker state, admit counters
+  Executor::Metrics executor;  // the executor's key list
 
   [[nodiscard]] std::uint64_t outcome(Outcome o) const noexcept {
     return outcomes[static_cast<std::size_t>(o)];
@@ -92,8 +94,8 @@ struct MetricsSnapshot {
   }
 };
 
-/// Render `s` as the /healthz probe body (one "key value" per line,
-/// prefixed by the status line).
+/// Render `s` as the /healthz probe body: the status line, then one
+/// "key value" line per server counter, then the executor's key list.
 void render_healthz(std::ostream& os, const std::string& status,
                     const MetricsSnapshot& s);
 

@@ -228,9 +228,8 @@ std::string Server::healthz() const {
   if (s.executor.shutdown) {
     status = "draining";
   } else if (s.executor.breakers_open > 0 ||
-             (_options.executor.max_pending_topologies != 0 &&
-              s.executor.adm_pending >=
-                  _options.executor.max_pending_topologies)) {
+             (s.executor.adm_pending_limit != 0 &&
+              s.executor.adm_pending >= s.executor.adm_pending_limit)) {
     status = "overloaded";
   }
   std::ostringstream os;

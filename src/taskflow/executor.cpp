@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <functional>
-#include <ostream>
 
 #include "taskflow/flow_builder.hpp"
 #include "taskflow/topology.hpp"
@@ -356,10 +355,6 @@ void ExecutorInterface::finalize(Node* node, detail::ReadyBatch& ready,
   if (delta != 0) topology->retire_delta(delta);
 }
 
-void ExecutorInterface::dump_state(std::ostream& os) const {
-  os << "executor: " << num_workers() << " worker(s)\n";
-}
-
 const std::shared_ptr<detail::TimerWheel>& ExecutorInterface::timer_wheel() {
   // Double-checked lazy creation: the service thread only exists once some
   // resilience feature (retry backoff, deadline, cancel_after) is used.
@@ -471,26 +466,18 @@ WorkStealingExecutor::~WorkStealingExecutor() {
   for (auto& t : _threads) t.join();
 }
 
-void WorkStealingExecutor::dump_state(std::ostream& os) const {
-  // Diagnostic snapshot from atomics only: safe to call mid-run from any
-  // thread (per-worker queue sizes are the WSQ's approximate atomic probe).
-  os << "work-stealing executor: " << _workers.size() << " worker(s), "
-     << _num_idlers.load(std::memory_order_relaxed) << " parked, central_depth="
-     << _num_central.load(std::memory_order_relaxed)
-     << ", steals=" << _steals.load(std::memory_order_relaxed)
-     << ", cache_hits=" << _cache_hits.load(std::memory_order_relaxed)
-     << ", parks=" << _parks.load(std::memory_order_relaxed)
-     << ", wakes=" << _wakes.load(std::memory_order_relaxed) << "\n";
-  for (const auto& w : _workers) {
-    os << "  worker " << w->id << ": queue_depth=" << w->queue.size() << "\n";
-  }
-}
-
 ExecutorInterface::SchedulerStats WorkStealingExecutor::stats() const {
+  // Atomics only: safe mid-run from any thread (per-worker queue sizes are
+  // the WSQ's approximate atomic probe).
   SchedulerStats s;
+  s.backend = "work-stealing";
   s.num_workers = _workers.size();
   s.queue_depth = _num_central.load(std::memory_order_relaxed);
-  for (const auto& w : _workers) s.queue_depth += w->queue.size();
+  s.worker_queue_depths.reserve(_workers.size());
+  for (const auto& w : _workers) {
+    s.worker_queue_depths.push_back(w->queue.size());
+    s.queue_depth += s.worker_queue_depths.back();
+  }
   s.num_idlers =
       static_cast<std::size_t>(_num_idlers.load(std::memory_order_relaxed));
   s.steals = _steals.load(std::memory_order_relaxed);
@@ -833,18 +820,9 @@ void SimpleExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
   }
 }
 
-void SimpleExecutor::dump_state(std::ostream& os) const {
-  std::size_t depth = 0;
-  {
-    std::scoped_lock lock(_mutex);
-    depth = _queue.size();
-  }
-  os << "simple executor: " << _threads.size() << " worker(s), central_depth=" << depth
-     << "\n";
-}
-
 ExecutorInterface::SchedulerStats SimpleExecutor::stats() const {
   SchedulerStats s;
+  s.backend = "simple";
   s.num_workers = _threads.size();
   {
     std::scoped_lock lock(_mutex);

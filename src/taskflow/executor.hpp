@@ -20,6 +20,11 @@
 //
 //  * SimpleExecutor - a plain central-queue work-sharing pool, used as the
 //    pluggable alternative and by the executor ablation benchmark.
+//
+// A backend's scheduling state is read through one call, stats(): worker
+// count, queue depths (total and per worker), parked workers and the
+// lifetime steal/cache-hit/park/wake counters.  tf::Executor folds it into
+// Executor::metrics(), whose key list the stall report and /healthz print.
 #pragma once
 
 #include <array>
@@ -27,9 +32,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -100,27 +105,29 @@ class ExecutorInterface {
   /// Number of worker threads.
   [[nodiscard]] virtual std::size_t num_workers() const noexcept = 0;
 
-  /// Write a one-shot diagnostic snapshot of the executor's scheduling state
-  /// (queue depths, parked workers, counters) to `os` - the executor half of
-  /// Taskflow::stall_report().  Reads only atomics, so it is safe (and
-  /// race-free) to call from any thread while graphs are running; the
-  /// numbers are a best-effort snapshot, not a consistent cut.
-  virtual void dump_state(std::ostream& os) const;
-
-  /// Machine-readable sibling of dump_state: the backend half of
-  /// Executor::metrics() (service-layer /healthz probes).  Best-effort
-  /// atomics-only snapshot, callable from any thread while graphs run.
+  /// The backend's one read-out of its scheduling state: the backend half
+  /// of Executor::metrics(), which the stall report and /healthz render.
+  /// Safe to call from any thread while graphs run; the numbers are a
+  /// best-effort snapshot, not a consistent cut.
+  /// A backend that does not track a field leaves it 0 (SimpleExecutor
+  /// tracks none of num_idlers, steals, cache_hits, parks and wakes).
   struct SchedulerStats {
     std::size_t num_workers{0};
     std::size_t queue_depth{0};   // tasks sitting in scheduler queues
-    std::size_t num_idlers{0};    // parked workers (0 for SimpleExecutor)
-    std::size_t steals{0};        // lifetime counters; 0 where untracked
+    std::size_t num_idlers{0};    // parked workers
+    std::size_t steals{0};        // lifetime counters
     std::size_t cache_hits{0};
     std::size_t parks{0};
     std::size_t wakes{0};
+    std::string_view backend{"custom"};  // "work-stealing", "simple", ...
+    /// Depth of each worker's own queue (part of queue_depth); empty for a
+    /// backend whose workers share one queue.
+    std::vector<std::size_t> worker_queue_depths;
   };
   [[nodiscard]] virtual SchedulerStats stats() const {
-    return SchedulerStats{num_workers(), 0, 0, 0, 0, 0, 0};
+    SchedulerStats s;
+    s.num_workers = num_workers();
+    return s;
   }
 
   /// Attach (or swap) an observer.  Safe to call from any thread at any
@@ -266,39 +273,15 @@ class WorkStealingExecutor final : public ExecutorInterface {
   void schedule_batch(Node* const* nodes, std::size_t n) override;
   using ExecutorInterface::schedule_batch;
 
-  void dump_state(std::ostream& os) const override;
+  /// Atomics only.  steals counts successful steals; cache_hits counts
+  /// direct cache hand-offs (speculative chain executions); parks and wakes
+  /// count condition-variable parks and the wakeups issued (precise,
+  /// direct-handoff and load-balance) - the park/wake churn that the
+  /// spin-then-park phase exists to drive down on bursty workloads.
   [[nodiscard]] SchedulerStats stats() const override;
 
   [[nodiscard]] std::size_t num_workers() const noexcept override {
     return _workers.size();
-  }
-
-  /// Number of workers currently parked in the idler list (diagnostic).
-  [[nodiscard]] std::size_t num_idlers() const noexcept {
-    return static_cast<std::size_t>(_num_idlers.load(std::memory_order_relaxed));
-  }
-
-  /// Total successful steals across all workers (diagnostic/ablation).
-  [[nodiscard]] std::size_t num_steals() const noexcept {
-    return _steals.load(std::memory_order_relaxed);
-  }
-
-  /// Total direct cache hand-offs (speculative chain executions).
-  [[nodiscard]] std::size_t num_cache_hits() const noexcept {
-    return _cache_hits.load(std::memory_order_relaxed);
-  }
-
-  /// Total times a worker parked on its condition variable (diagnostic:
-  /// together with num_wakes this measures park/wake churn; the
-  /// spin-then-park phase exists to drive it down on bursty workloads).
-  [[nodiscard]] std::size_t num_parks() const noexcept {
-    return _parks.load(std::memory_order_relaxed);
-  }
-
-  /// Total condition-variable wakeups issued (precise, direct-handoff, and
-  /// probabilistic load-balance wakes).
-  [[nodiscard]] std::size_t num_wakes() const noexcept {
-    return _wakes.load(std::memory_order_relaxed);
   }
 
  private:
@@ -367,7 +350,6 @@ class SimpleExecutor final : public ExecutorInterface {
   void schedule_batch(Node* const* nodes, std::size_t n) override;
   using ExecutorInterface::schedule_batch;
 
-  void dump_state(std::ostream& os) const override;
   [[nodiscard]] SchedulerStats stats() const override;
 
   [[nodiscard]] std::size_t num_workers() const noexcept override { return _threads.size(); }

@@ -2,9 +2,13 @@
 // utilization profile of paper Fig. 10 right).
 //
 // An observer attached to an executor receives an on_entry/on_exit callback
-// around every task invocation, tagged with the invoking worker id.  The
-// bundled RecordingObserver accumulates busy intervals per worker and can
-// aggregate them into a utilization-over-time series.
+// around every task invocation, tagged with the invoking worker id, plus the
+// events that name a task or a run: a task retry, a task fallback and a run
+// deadline expiry.  Counts (admitted, rejected and shed runs, steals, parks)
+// are not events: read them from ExecutorInterface::stats() and
+// Executor::metrics().  The bundled RecordingObserver accumulates busy
+// intervals per worker and can aggregate them into a utilization-over-time
+// series.
 #pragma once
 
 #include <chrono>
@@ -61,26 +65,6 @@ class ExecutorObserverInterface {
   /// (the run will complete with tf::TimeoutError).  Invoked from the timer
   /// or watchdog thread, not from a worker.
   virtual void on_topology_timeout() {}
-
-  // ---- admission-control events (DESIGN.md §11); default no-op so
-  // ---- pre-admission observers compile unchanged ---------------------------
-
-  /// Called on the submitting thread when a run passed admission control
-  /// (only executors with non-default ExecutorOptions admit explicitly, so
-  /// the zero-policy hot path never pays for this hook).
-  virtual void on_topology_admit() {}
-
-  /// Called on the submitting thread when admission control turned a run
-  /// away: AdmissionPolicy::reject at capacity, a backpressure wait that
-  /// exceeded its admission_timeout, an open circuit breaker, or a try_run
-  /// that would have had to block.
-  virtual void on_topology_reject() {}
-
-  /// Called when an admitted but not-yet-started run was load-shed above the
-  /// executor's shed watermark (its future completes with tf::OverloadError).
-  /// Invoked from the submitting thread that pushed the executor over the
-  /// watermark, not from a worker.
-  virtual void on_topology_shed() {}
 };
 
 /// Records per-worker busy intervals with steady-clock timestamps.

@@ -29,7 +29,7 @@ void throw_if_cyclic(Graph& graph, const char* origin) {
 
 // Any knob set makes the executor route submissions through the admission
 // layer; all-defaults keeps the PR 3 unbounded path, which takes no
-// admission lock and fires no admission event.
+// admission lock.
 bool admission_enabled(const ExecutorOptions& options) {
   return options.max_pending_topologies != 0 ||
          options.max_pending_per_client != 0 || options.shed_watermark != 0 ||
@@ -221,10 +221,9 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     if (why != RejectReason::none) {
       adm.unlock();
       if (why != RejectReason::shutdown) {
-        // A shutdown rejection is NOT an overload signal: no reject event,
-        // no rejected-counter bump (satellite: the two are distinguishable).
+        // A shutdown rejection is NOT an overload signal: no rejected-counter
+        // bump, so the two stay distinguishable.
         _adm_rejected.fetch_add(1, std::memory_order_relaxed);
-        if (auto obs = _backend->observer()) obs->on_topology_reject();
       }
       if (nothrow) {
         if (rejected != nullptr) *rejected = true;
@@ -348,9 +347,8 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
   adm.unlock();
 
   for (auto& t : to_start) start(*t);
-  for (auto& victim : shed_victims) finish_shed(victim);  // fires on_topology_shed
+  for (auto& victim : shed_victims) finish_shed(victim);
   for (auto& empty_cq : emptied) release_client(empty_cq.get());
-  if (auto obs = _backend->observer()) obs->on_topology_admit();
   return topology;
 }
 
@@ -549,15 +547,12 @@ void Executor::finish_shed(const std::shared_ptr<Topology>& victim) {
   disarm_deadline(*victim);
   // First-writer capture: a deadline that expired while the run was queued
   // keeps its TimeoutError (queue time counts as timeout, not shed) — the
-  // shed counter and observer event track only runs that observably
-  // complete as shed, i.e. whose handle will report the OverloadError.
+  // shed counter tracks only runs that observably complete as shed, i.e.
+  // whose handle will report the OverloadError.
   const bool won = victim->error_state()->capture(std::make_exception_ptr(
       OverloadError("run load-shed: executor pending depth exceeded the shed "
                     "watermark")));
-  if (won) {
-    _adm_shed.fetch_add(1, std::memory_order_relaxed);
-    if (auto obs = _backend->observer()) obs->on_topology_shed();
-  }
+  if (won) _adm_shed.fetch_add(1, std::memory_order_relaxed);
   {
     std::scoped_lock lock(_done_mutex);
     _num_topologies.fetch_sub(1, std::memory_order_relaxed);
@@ -951,7 +946,12 @@ void Executor::watchdog_loop() {
 }
 
 void Executor::dump_state(std::ostream& os) const {
-  _backend->dump_state(os);
+  const Metrics m = metrics();
+  os << m;
+  for (std::size_t i = 0; i < m.scheduler.worker_queue_depths.size(); ++i) {
+    os << "  worker " << i << ": queue_depth=" << m.scheduler.worker_queue_depths[i]
+       << "\n";
+  }
   // Progress probes (allocated by enable_watchdog): one line per busy
   // worker, from atomics only - the Node* is deliberately NOT dereferenced
   // (the task may retire, and an async run free its node, mid-print).
@@ -963,40 +963,6 @@ void Executor::dump_state(std::ostream& os) const {
        << std::chrono::duration_cast<std::chrono::milliseconds>(samples[i].busy_for)
               .count()
        << " ms (" << samples[i].completed << " task(s) completed)\n";
-  }
-  if (auto wheel = _backend->timer_wheel_if_created()) {
-    if (const std::size_t pending = wheel->num_pending(); pending > 0) {
-      os << "pending resilience timers (retry backoff / deadline / "
-            "cancel_after): "
-         << pending << "\n";
-    }
-  }
-  os << "in-flight graph runs: " << num_topologies()
-     << ", in-flight asyncs: " << num_asyncs() << "\n";
-  if (_admission_active) {
-    std::scoped_lock adm(_adm_mutex);
-    os << "admission: " << _adm_pending << " pending";
-    if (_options.max_pending_topologies != 0) {
-      os << "/" << _options.max_pending_topologies;
-    }
-    os << ", " << _adm_started << " started";
-    if (_options.max_concurrent_topologies != 0) {
-      os << "/" << _options.max_concurrent_topologies;
-    }
-    std::size_t ringed = 0;
-    for (const auto& ring : _adm_ready) ringed += ring.size();
-    if (ringed > 0) os << ", " << ringed << " client(s) awaiting a slot";
-    os << "; admitted " << num_admitted() << ", rejected " << num_rejected()
-       << ", shed " << num_shed();
-    if (_options.breaker_threshold > 0) {
-      std::size_t open = 0;
-      for (const auto& [owner, ac] : _adm_clients) {
-        if (ac.breaker != AdmissionClient::Breaker::closed) ++open;
-      }
-      os << ", breaker trips " << num_breaker_trips() << " (" << open
-         << " open/half-open)";
-    }
-    os << "\n";
   }
   std::scoped_lock clients_lock(_clients_mutex);
   for (const auto& [owner, cq] : _clients) {
@@ -1073,21 +1039,34 @@ Executor::Metrics Executor::metrics() const {
   m.scheduler = _backend->stats();
   m.num_topologies = num_topologies();
   m.num_asyncs = num_asyncs();
+  if (auto wheel = _backend->timer_wheel_if_created()) {
+    m.pending_timers = wheel->num_pending();
+  }
   m.admission_active = _admission_active;
-  m.admitted = num_admitted();
-  m.rejected = num_rejected();
-  m.shed = num_shed();
-  m.breaker_trips = num_breaker_trips();
+  m.admitted = _adm_admitted.load(std::memory_order_relaxed);
+  m.rejected = _adm_rejected.load(std::memory_order_relaxed);
+  m.shed = _adm_shed.load(std::memory_order_relaxed);
+  m.breaker_trips = _adm_breaker_trips.load(std::memory_order_relaxed);
+  m.adm_pending_limit = _options.max_pending_topologies;
+  m.adm_started_limit = _options.max_concurrent_topologies;
   m.shutdown = _shutdown.load(std::memory_order_relaxed);
   if (_admission_active) {
     std::scoped_lock adm(_adm_mutex);
     m.adm_pending = _adm_pending;
     m.adm_started = _adm_started;
+    for (const auto& ring : _adm_ready) m.adm_waiting_clients += ring.size();
     for (const auto& [owner, ac] : _adm_clients) {
       if (ac.breaker != AdmissionClient::Breaker::closed) ++m.breakers_open;
     }
   }
   return m;
+}
+
+std::ostream& operator<<(std::ostream& os, const Executor::Metrics& m) {
+  m.for_each([&os](std::string_view key, const auto& value) {
+    os << key << ' ' << value << '\n';
+  });
+  return os;
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -250,7 +251,7 @@ inline constexpr int kNumPriorities = 3;
 /// knob defaults to off: a default-constructed ExecutorOptions reproduces the
 /// unbounded PR 3 submission behavior exactly, and the executor then skips
 /// the admission layer entirely - the zero-policy hot path takes no extra
-/// lock and fires no extra event.
+/// lock.
 struct ExecutorOptions {
   /// Upper bound on graph runs admitted but not yet finished, across all
   /// clients.  At the bound, run() applies its RunPolicy::admission choice
@@ -393,28 +394,6 @@ class Executor : private detail::TopologyClient {
   /// The admission-control configuration this executor was built with.
   [[nodiscard]] const ExecutorOptions& options() const noexcept { return _options; }
 
-  /// Runs admitted / turned away (reject policy, admission-timeout expiry,
-  /// open breaker, or a try_run at capacity) / load-shed above the
-  /// watermark since construction.  All zero on a default-options executor.
-  /// num_shed counts runs whose handle reports the shed OverloadError: an
-  /// eviction losing the first-writer race to an already-captured error
-  /// (e.g. a deadline that expired while queued) counts as that outcome,
-  /// not as a shed.
-  [[nodiscard]] std::size_t num_admitted() const noexcept {
-    return _adm_admitted.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t num_rejected() const noexcept {
-    return _adm_rejected.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t num_shed() const noexcept {
-    return _adm_shed.load(std::memory_order_relaxed);
-  }
-
-  /// Times a taskflow's circuit breaker tripped open since construction.
-  [[nodiscard]] std::size_t num_breaker_trips() const noexcept {
-    return _adm_breaker_trips.load(std::memory_order_relaxed);
-  }
-
   /// Start the background watchdog thread: every `options.period` it
   /// enforces expired run deadlines (belt-and-braces over the timer wheel)
   /// and samples per-worker progress probes; a worker stuck in one task for
@@ -503,30 +482,71 @@ class Executor : private detail::TopologyClient {
     return _num_asyncs.load(std::memory_order_relaxed);
   }
 
-  /// One-shot diagnostic snapshot: backend scheduling state plus, per
-  /// client taskflow, the pending-topology queue depth and the running
-  /// topology's unfinished-task count, plus the in-flight async count.
-  /// Safe (and race-free) to call from any thread while graphs run.
+  /// One-shot diagnostic dump: metrics() as its key list, then one record
+  /// line per worker queue, per busy worker (watchdog probes) and per client
+  /// taskflow (queued runs, the running run's unfinished-task count, its
+  /// policies, conditions, deadline and drain state).  Safe (and race-free)
+  /// to call from any thread while graphs run.
   void dump_state(std::ostream& os) const;
 
-  /// Machine-readable metrics snapshot - the structured sibling of
-  /// dump_state() consumed by the service layer's /healthz probe
-  /// (DESIGN.md §13).  Scheduler numbers are atomics-only best effort;
-  /// the admission block is read under the admission lock, so pending/
-  /// started/breakers_open form a consistent cut of the admission state.
+  /// The executor's one diagnostic snapshot: the backend's stats() plus the
+  /// run, timer and admission gauges and counters.  The stall report and the
+  /// service layer's /healthz probe (DESIGN.md §13) both print it through
+  /// for_each.  Scheduler numbers are atomics-only best effort; the
+  /// admission block is read under the admission lock, so pending/started/
+  /// waiting/breakers_open form a consistent cut of the admission state.
   struct Metrics {
     ExecutorInterface::SchedulerStats scheduler;
-    std::size_t num_topologies{0};  // graph runs in flight (queue depth)
+    std::size_t num_topologies{0};  // graph runs queued or in flight
     std::size_t num_asyncs{0};
+    std::size_t pending_timers{0};  // retry backoff / deadline / cancel_after
     bool admission_active{false};   // admission knobs engaged?
-    std::size_t admitted{0};        // lifetime admission counters
-    std::size_t rejected{0};
+    /// Lifetime admission counters.  `shed` counts runs whose handle
+    /// reports the shed OverloadError: an eviction losing the first-writer
+    /// race to an already-captured error (e.g. a deadline that expired
+    /// while queued) counts as that outcome, not as a shed.
+    std::size_t admitted{0};
+    std::size_t rejected{0};  // reject policy, wait expiry, open breaker, try_run
     std::size_t shed{0};
     std::size_t breaker_trips{0};
-    std::size_t adm_pending{0};     // admitted, not yet finished/shed
-    std::size_t adm_started{0};     // holding a concurrency slot
-    std::size_t breakers_open{0};   // client breakers currently open
+    std::size_t adm_pending{0};          // admitted, not yet finished/shed
+    std::size_t adm_pending_limit{0};    // max_pending_topologies (0 = unbounded)
+    std::size_t adm_started{0};          // holding a concurrency slot
+    std::size_t adm_started_limit{0};    // max_concurrent_topologies (0 = unbounded)
+    std::size_t adm_waiting_clients{0};  // clients whose next run awaits a slot
+    std::size_t breakers_open{0};        // client breakers open or half-open
     bool shutdown{false};
+
+    /// The key list: calls f(key, value) for every counter and gauge, in
+    /// print order.  The admission keys (adm_*, breaker_trips,
+    /// breakers_open) are listed only while admission_active.  This is the
+    /// only place an executor key is spelled.
+    template <typename F>
+    void for_each(F&& f) const {
+      f("backend", scheduler.backend);
+      f("workers", scheduler.num_workers);
+      f("parked_workers", scheduler.num_idlers);
+      f("scheduler_queue_depth", scheduler.queue_depth);
+      f("steals", scheduler.steals);
+      f("cache_hits", scheduler.cache_hits);
+      f("parks", scheduler.parks);
+      f("wakes", scheduler.wakes);
+      f("queue_depth", num_topologies);
+      f("asyncs", num_asyncs);
+      f("pending_timers", pending_timers);
+      f("shutdown", shutdown);
+      if (!admission_active) return;
+      f("adm_admitted", admitted);
+      f("adm_rejected", rejected);
+      f("adm_shed", shed);
+      f("adm_pending", adm_pending);
+      f("adm_pending_limit", adm_pending_limit);
+      f("adm_started", adm_started);
+      f("adm_started_limit", adm_started_limit);
+      f("adm_waiting_clients", adm_waiting_clients);
+      f("breaker_trips", breaker_trips);
+      f("breakers_open", breakers_open);
+    }
   };
   [[nodiscard]] Metrics metrics() const;
 
@@ -574,13 +594,13 @@ class Executor : private detail::TopologyClient {
     bool probe_in_flight{false};
   };
 
-  /// Why submit() turned a run away (selects the exception / event fired
-  /// outside the admission lock).
+  /// Why submit() turned a run away (selects the exception thrown outside
+  /// the admission lock).
   enum class RejectReason : unsigned char {
     none,
     overload,       // at capacity with reject policy / expired wait / try_run
     breaker_open,   // the taskflow's circuit breaker is open
-    shutdown,       // shutdown() began (NOT an overload: no reject event)
+    shutdown,       // shutdown() began (NOT an overload: not counted rejected)
   };
 
   /// Enqueue a (n, stop)-repeat run of `taskflow`; nullptr when there is
@@ -735,6 +755,10 @@ class Executor : private detail::TopologyClient {
   bool _watchdog_stop{false};
   WatchdogOptions _watchdog_options;
 };
+
+/// Print `m` as its key list, one "key value" line per Metrics::for_each
+/// entry: the executor block of both the stall report and /healthz.
+std::ostream& operator<<(std::ostream& os, const Executor::Metrics& m);
 
 // Defined here (declared in flow_builder.hpp) because it needs Taskflow
 // complete to reach the composed graph.

@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -125,6 +127,103 @@ TEST(Server, HealthzRendersTheSnapshot) {
   EXPECT_NE(server.healthz().find("status draining"), std::string::npos);
 }
 
+// Lines of `text` that start with `prefix`.
+int lines_starting_with(const std::string& text, std::string_view prefix) {
+  int n = 0;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, prefix.size(), prefix) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(Server, HealthzAndStallReportPrintOneExecutorKeyList) {
+  tf::ServerOptions opts;
+  opts.executor.max_pending_topologies = 8;
+  opts.executor.breaker_threshold = 2;
+  tf::Server server(opts);
+  (void)server.connect().call({1});
+
+  std::vector<std::string> keys;
+  server.executor().metrics().for_each(
+      [&](std::string_view key, const auto&) { keys.emplace_back(key); });
+  // The keys that /healthz scrapers read stay in the list under these names.
+  for (const char* old_key :
+       {"queue_depth", "scheduler_queue_depth", "workers", "adm_admitted",
+        "adm_rejected", "adm_shed", "adm_pending", "adm_started", "breaker_trips",
+        "breakers_open"}) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), old_key), keys.end()) << old_key;
+  }
+  const std::string body = server.healthz();
+  const std::string report = server.executor().stall_report();
+  for (const std::string& key : keys) {
+    EXPECT_EQ(lines_starting_with(body, key + " "), 1) << key << "\n" << body;
+    EXPECT_EQ(lines_starting_with(report, key + " "), 1) << key << "\n" << report;
+  }
+  EXPECT_NE(body.find("\nadm_admitted 1\n"), std::string::npos) << body;
+
+  // Without admission control neither surface lists an admission key.
+  tf::Server plain;
+  (void)plain.connect().call({1});
+  const std::string plain_body = plain.healthz();
+  const std::string plain_report = plain.executor().stall_report();
+  EXPECT_EQ(lines_starting_with(plain_body, "adm_"), 0) << plain_body;
+  EXPECT_EQ(lines_starting_with(plain_report, "adm_"), 0) << plain_report;
+  EXPECT_EQ(lines_starting_with(plain_body, "breaker"), 0) << plain_body;
+  EXPECT_EQ(lines_starting_with(plain_body, "queue_depth "), 1) << plain_body;
+}
+
+TEST(Server, HealthzOverloadedWhileABreakerIsOpen) {
+  tf::ServerOptions opts;
+  opts.num_workers = 1;
+  opts.executor.breaker_threshold = 1;
+  opts.executor.breaker_cooldown = std::chrono::hours(1);
+  // The fallback absorbs handler exceptions, so an expired deadline is how
+  // a request run fails here.
+  opts.deadline = 2ms;
+  tf::Server server(opts);
+  auto& client = server.connect();
+  EXPECT_NE(server.healthz().find("status ok\n"), std::string::npos);
+  EXPECT_EQ(client.call({1, 1, /*work=*/50ms}).outcome, tf::Outcome::timed_out);
+  const std::string body = server.healthz();
+  EXPECT_NE(body.find("status overloaded\n"), std::string::npos) << body;
+  EXPECT_NE(body.find("\nbreakers_open 1\n"), std::string::npos) << body;
+}
+
+TEST(Server, HealthzOverloadedAtFullAdmissionThenDraining) {
+  tf::ServerOptions opts;
+  opts.num_workers = 1;
+  opts.executor.max_pending_topologies = 1;
+  tf::Server server(opts);
+  auto& client = server.connect();
+  client.submit({1, 1, /*work=*/60s});  // holds the one pending slot
+  const std::string body = server.healthz();
+  EXPECT_NE(body.find("status overloaded\n"), std::string::npos) << body;
+  EXPECT_NE(body.find("\nadm_pending 1\nadm_pending_limit 1\n"), std::string::npos)
+      << body;
+  server.shutdown(tf::ShutdownMode::abort);  // cancels the long request
+  EXPECT_NE(server.healthz().find("status draining\n"), std::string::npos);
+  client.drain();
+  EXPECT_EQ(client.count(tf::Outcome::cancelled), 1u);
+}
+
+TEST(LatencyHistogram, PercentileIsTheNearestRank) {
+  // p99 of 150 samples is rank ceil(148.5) = 149: the first 1 ms sample.
+  tf::LatencyHistogram tail;
+  for (int i = 0; i < 148; ++i) tail.record(1us);
+  for (int i = 0; i < 2; ++i) tail.record(1ms);
+  EXPECT_GE(tail.percentile_us(99), 500.0);
+  EXPECT_LT(tail.percentile_us(50), 2.0);
+
+  // p99.9 of 1,000 samples is rank 999 exactly: still a 1 us sample.
+  tf::LatencyHistogram exact;
+  for (int i = 0; i < 999; ++i) exact.record(1us);
+  exact.record(1ms);
+  EXPECT_LT(exact.percentile_us(99.9), 2.0);
+  EXPECT_GE(exact.percentile_us(100), 500.0);
+  EXPECT_LT(exact.percentile_us(0), 2.0);  // rank clamps to the first sample
+}
+
 TEST(Server, ProbeServesHealthzOverASocket) {
   tf::Server server;
   auto& client = server.connect();
@@ -176,6 +275,19 @@ TEST(ServerSoak, StormWithChaosAccountsEveryRequest) {
   constexpr std::uint64_t kClients = 24;
   tf::Server server(storm_options());
 
+  // A /healthz prober renders the snapshot while the storm runs.
+  std::atomic<bool> storming{true};
+  std::atomic<int> bodies{0};
+  std::thread prober([&] {
+    do {
+      const std::string body = server.healthz();
+      if (body.rfind("status ", 0) == 0 && body.find("\nadm_pending ") != std::string::npos) {
+        bodies++;
+      }
+      std::this_thread::sleep_for(100us);
+    } while (storming.load(std::memory_order_relaxed));
+  });
+
   std::vector<std::thread> threads;
   threads.reserve(kClients);
   for (std::uint64_t c = 0; c < kClients; ++c) {
@@ -197,6 +309,9 @@ TEST(ServerSoak, StormWithChaosAccountsEveryRequest) {
     });
   }
   for (auto& t : threads) t.join();
+  storming = false;
+  prober.join();
+  EXPECT_GT(bodies.load(), 0);
 
   const auto snap = server.metrics();
   const std::uint64_t total = kClients * iters;

@@ -65,12 +65,12 @@ TEST(Admission, DefaultOptionsAdmitUnbounded) {
     h.get();
   }
   EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(executor.num_admitted(), 0u);  // admission layer never engaged
-  EXPECT_EQ(executor.num_rejected(), 0u);
-  EXPECT_EQ(executor.num_shed(), 0u);
+  EXPECT_EQ(executor.metrics().admitted, 0u);  // admission layer never engaged
+  EXPECT_EQ(executor.metrics().rejected, 0u);
+  EXPECT_EQ(executor.metrics().shed, 0u);
   std::ostringstream os;
   executor.dump_state(os);
-  EXPECT_EQ(os.str().find("admission:"), std::string::npos);
+  EXPECT_EQ(("\n" + os.str()).find("\nadm_"), std::string::npos) << os.str();
 }
 
 TEST(Admission, TryRunOnDefaultExecutorAdmits) {
@@ -94,7 +94,7 @@ TEST(Admission, TryRunEmptyGraphIsEngagedAndReady) {
   ASSERT_TRUE(handle.has_value());
   EXPECT_EQ(handle->wait_for(0s), std::future_status::ready);
   EXPECT_NO_THROW(handle->get());
-  EXPECT_EQ(executor.num_admitted(), 0u);  // nothing to meter
+  EXPECT_EQ(executor.metrics().admitted, 0u);  // nothing to meter
 }
 
 TEST(Admission, PriorityFieldIsInertWithoutAdmissionControl) {
@@ -145,8 +145,8 @@ TEST(Admission, PerClientBoundBlocksThenResumes) {
     EXPECT_NO_THROW(h->get());
   }
   EXPECT_EQ(ran.load(), 3);
-  EXPECT_EQ(executor.num_admitted(), 3u);
-  EXPECT_EQ(executor.num_rejected(), 0u);
+  EXPECT_EQ(executor.metrics().admitted, 3u);
+  EXPECT_EQ(executor.metrics().rejected, 0u);
 }
 
 TEST(Admission, GlobalBoundSpansClients) {
@@ -169,7 +169,7 @@ TEST(Admission, GlobalBoundSpansClients) {
   EXPECT_THROW((void)executor.run(c, reject), tf::OverloadError);
   // ...and try_run reports no capacity without blocking or throwing.
   EXPECT_FALSE(executor.try_run(c).has_value());
-  EXPECT_EQ(executor.num_rejected(), 2u);
+  EXPECT_EQ(executor.metrics().rejected, 2u);
 
   gate = true;
   ASSERT_EQ(ha.wait_for(kDeadline), std::future_status::ready);
@@ -179,7 +179,7 @@ TEST(Admission, GlobalBoundSpansClients) {
   ASSERT_TRUE(hc.has_value());
   ASSERT_EQ(hc->wait_for(kDeadline), std::future_status::ready);
   EXPECT_EQ(c_ran.load(), 1);
-  EXPECT_EQ(executor.num_admitted(), 3u);
+  EXPECT_EQ(executor.metrics().admitted, 3u);
 }
 
 TEST(Admission, AdmissionTimeoutExpiresIntoOverloadError) {
@@ -198,7 +198,7 @@ TEST(Admission, AdmissionTimeoutExpiresIntoOverloadError) {
   EXPECT_THROW((void)executor.run(flow, policy), tf::OverloadError);
   const auto waited = std::chrono::steady_clock::now() - begin;
   EXPECT_GE(waited, 40ms);  // it genuinely waited before giving up
-  EXPECT_EQ(executor.num_rejected(), 1u);
+  EXPECT_EQ(executor.metrics().rejected, 1u);
   gate = true;
   ASSERT_EQ(h0.wait_for(kDeadline), std::future_status::ready);
 }
@@ -240,7 +240,7 @@ TEST(Admission, TryRunAfterShutdownIsEmptyNotThrowing) {
   EXPECT_FALSE(executor.try_run(flow).has_value());
   EXPECT_THROW((void)executor.run(flow), tf::ShutdownError);
   // Shutdown rejections are not overload: the reject counter stays clean.
-  EXPECT_EQ(executor.num_rejected(), 0u);
+  EXPECT_EQ(executor.metrics().rejected, 0u);
 }
 
 TEST(Admission, TryRunAfterShutdownOnDefaultExecutorIsEmpty) {
@@ -299,7 +299,7 @@ TEST(Admission, ShedRunNeverExecutesAndReportsOverloadError) {
   EXPECT_THROW(h1.get(), tf::OverloadError);
   EXPECT_TRUE(h1.is_cancelled());
   EXPECT_FALSE(h1.timed_out());
-  EXPECT_EQ(executor.num_shed(), 1u);
+  EXPECT_EQ(executor.metrics().shed, 1u);
 
   gate = true;
   ASSERT_EQ(h0.wait_for(kDeadline), std::future_status::ready);
@@ -329,7 +329,7 @@ TEST(Admission, SheddingEvictsLowestPriorityNewestFirst) {
   auto pusher = executor.run(flow);         // pending 4 > 3: shed band 0 first
   ASSERT_EQ(victim.wait_for(kDeadline), std::future_status::ready);
   EXPECT_THROW(victim.get(), tf::OverloadError);
-  EXPECT_EQ(executor.num_shed(), 1u);
+  EXPECT_EQ(executor.metrics().shed, 1u);
 
   gate = true;
   for (auto* h : {&running, &kept, &pusher}) {
@@ -359,7 +359,7 @@ TEST(Admission, DeadlineExpiryWhileQueuedIsTimeoutNotShed) {
   ASSERT_EQ(expired.wait_for(kDeadline), std::future_status::ready);
   EXPECT_THROW(expired.get(), tf::TimeoutError);
   EXPECT_TRUE(expired.timed_out());
-  EXPECT_EQ(executor.num_shed(), 0u);  // a queue-time timeout is not a shed
+  EXPECT_EQ(executor.metrics().shed, 0u);  // a queue-time timeout is not a shed
   ASSERT_EQ(h0.wait_for(kDeadline), std::future_status::ready);
   executor.wait_for_all();
 }
@@ -495,12 +495,12 @@ TEST(Admission, BreakerOpensAfterConsecutiveFailuresAndRejects) {
     ASSERT_EQ(h.wait_for(kDeadline), std::future_status::ready);
     EXPECT_THROW(h.get(), Boom);
   }
-  EXPECT_EQ(executor.num_breaker_trips(), 1u);
+  EXPECT_EQ(executor.metrics().breaker_trips, 1u);
   EXPECT_THROW((void)executor.run(failing), tf::BreakerOpenError);
   // BreakerOpenError IS an OverloadError (one catch handles both)...
   EXPECT_THROW((void)executor.run(failing), tf::OverloadError);
   EXPECT_FALSE(executor.try_run(failing).has_value());
-  EXPECT_EQ(executor.num_rejected(), 3u);
+  EXPECT_EQ(executor.metrics().rejected, 3u);
   // ...but the breaker is per taskflow: other clients are unaffected.
   executor.run(healthy).get();
   EXPECT_EQ(healthy_ran.load(), 1);
@@ -529,7 +529,7 @@ TEST(Admission, BreakerHalfOpenProbeSuccessCloses) {
   executor.run(flow).get();  // the half-open probe: succeeds, closes
   executor.run(flow).get();  // closed again: plain admission
   EXPECT_EQ(ran.load(), 3);
-  EXPECT_EQ(executor.num_breaker_trips(), 1u);
+  EXPECT_EQ(executor.metrics().breaker_trips, 1u);
 }
 
 TEST(Admission, BreakerProbeFailureReopens) {
@@ -548,7 +548,7 @@ TEST(Admission, BreakerProbeFailureReopens) {
   ASSERT_EQ(probe.wait_for(kDeadline), std::future_status::ready);
   EXPECT_THROW(probe.get(), Boom);     // probe failed: re-open
   EXPECT_THROW((void)executor.run(failing), tf::BreakerOpenError);
-  EXPECT_EQ(executor.num_breaker_trips(), 2u);
+  EXPECT_EQ(executor.metrics().breaker_trips, 2u);
 }
 
 TEST(Admission, BreakerAdmitsOneProbeAtATime) {
@@ -615,26 +615,16 @@ TEST(Admission, FallbackDegradedProbeClosesBreaker) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: events, counters, dump_state.
+// Observability: counters, dump_state.
 // ---------------------------------------------------------------------------
 
-class AdmissionObserver final : public tf::ExecutorObserverInterface {
- public:
-  std::atomic<int> admits{0};
-  std::atomic<int> rejects{0};
-  std::atomic<int> sheds{0};
-  void on_topology_admit() override { admits++; }
-  void on_topology_reject() override { rejects++; }
-  void on_topology_shed() override { sheds++; }
-};
-
 TEST(Admission, ObserverReceivesAdmitRejectShedEvents) {
+  // The admit/reject/shed counts live in metrics() (the observer carries
+  // task events only).
   tf::ExecutorOptions opts;
   opts.max_pending_per_client = 2;
   opts.shed_watermark = 3;
   tf::Executor executor(1, opts);
-  auto obs = std::make_shared<AdmissionObserver>();
-  executor.set_observer(obs);
   std::atomic<bool> gate{false};
   GateOpener opener(gate);
   tf::Taskflow flow, other;
@@ -655,12 +645,9 @@ TEST(Admission, ObserverReceivesAdmitRejectShedEvents) {
   }
   executor.wait_for_all();
 
-  EXPECT_EQ(obs->admits.load(), 4);
-  EXPECT_EQ(obs->rejects.load(), 1);
-  EXPECT_EQ(obs->sheds.load(), 1);
-  EXPECT_EQ(executor.num_admitted(), 4u);
-  EXPECT_EQ(executor.num_rejected(), 1u);
-  EXPECT_EQ(executor.num_shed(), 1u);
+  EXPECT_EQ(executor.metrics().admitted, 4u);
+  EXPECT_EQ(executor.metrics().rejected, 1u);
+  EXPECT_EQ(executor.metrics().shed, 1u);
 }
 
 TEST(Admission, DumpStateReportsAdmissionDepthAndCounters) {
@@ -678,11 +665,13 @@ TEST(Admission, DumpStateReportsAdmissionDepthAndCounters) {
   auto h0 = executor.run(parked);
   auto h1 = executor.run(waiting);  // ringed, awaiting the slot
   std::string report = executor.stall_report();
-  EXPECT_NE(report.find("admission: 2 pending/8"), std::string::npos) << report;
-  EXPECT_NE(report.find("1 started/1"), std::string::npos) << report;
-  EXPECT_NE(report.find("awaiting a slot"), std::string::npos) << report;
-  EXPECT_NE(report.find("admitted 2"), std::string::npos) << report;
-  EXPECT_NE(report.find("breaker trips 0"), std::string::npos) << report;
+  EXPECT_NE(report.find("\nadm_pending 2\nadm_pending_limit 8\n"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\nadm_started 1\nadm_started_limit 1\n"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\nadm_waiting_clients 1\n"), std::string::npos) << report;
+  EXPECT_NE(report.find("\nadm_admitted 2\n"), std::string::npos) << report;
+  EXPECT_NE(report.find("\nbreaker_trips 0\n"), std::string::npos) << report;
   gate = true;
   ASSERT_EQ(h0.wait_for(kDeadline), std::future_status::ready);
   ASSERT_EQ(h1.wait_for(kDeadline), std::future_status::ready);
@@ -768,9 +757,9 @@ TEST(Admission, ConcurrentClientsBookkeepingBalances) {
     }
   }
   executor.wait_for_all();
-  EXPECT_EQ(executor.num_admitted(), static_cast<std::size_t>(admitted.load()));
-  EXPECT_EQ(executor.num_rejected(), static_cast<std::size_t>(rejected.load()));
-  EXPECT_EQ(executor.num_shed(), static_cast<std::size_t>(shed));
+  EXPECT_EQ(executor.metrics().admitted, static_cast<std::size_t>(admitted.load()));
+  EXPECT_EQ(executor.metrics().rejected, static_cast<std::size_t>(rejected.load()));
+  EXPECT_EQ(executor.metrics().shed, static_cast<std::size_t>(shed));
   EXPECT_EQ(admitted.load(), ok + shed);  // every admitted run resolved
   EXPECT_EQ(executor.num_topologies(), 0u);
 }

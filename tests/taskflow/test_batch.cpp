@@ -66,8 +66,9 @@ TEST(BatchRelease, FanOutWakesParkedWorkers) {
     tf.wait_for_all();
     ASSERT_EQ(total.load(), kFanOut) << "round " << round;
   }
-  EXPECT_GT(executor->num_parks(), 0u);
-  EXPECT_GT(executor->num_wakes(), 0u);
+  const auto stats = executor->stats();
+  EXPECT_GT(stats.parks, 0u);
+  EXPECT_GT(stats.wakes, 0u);
 }
 
 // With stealing disabled entirely, batched tasks must still drain through

@@ -233,7 +233,7 @@ TEST_P(Composition, ModuleGraphsUnderAdmissionShedding) {
   ASSERT_EQ(h1.wait_for(kDeadline), std::future_status::ready);
   EXPECT_THROW(h1.get(), tf::OverloadError);
   EXPECT_TRUE(h1.is_cancelled());
-  EXPECT_EQ(executor.num_shed(), 1u);
+  EXPECT_EQ(executor.metrics().shed, 1u);
   gate = true;
   ASSERT_EQ(h0.wait_for(kDeadline), std::future_status::ready);
   EXPECT_NO_THROW(h0.get());

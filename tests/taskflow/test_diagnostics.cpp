@@ -181,12 +181,12 @@ TEST(StallReport, DescribesBlockedTopologyAndExecutor) {
   tf.silent_dispatch();
   while (!started.load()) std::this_thread::yield();
   const std::string report = tf.stall_report();
-  EXPECT_NE(report.find("work-stealing executor"), std::string::npos) << report;
+  EXPECT_NE(report.find("\nbackend work-stealing\n"), std::string::npos) << report;
   EXPECT_NE(report.find("worker"), std::string::npos) << report;
-  EXPECT_NE(report.find("in-flight graph runs: 1"), std::string::npos) << report;
+  EXPECT_NE(report.find("\nqueue_depth 1\n"), std::string::npos) << report;
   gate = true;
   tf.wait_for_all();
-  EXPECT_NE(tf.stall_report().find("in-flight graph runs: 0"), std::string::npos);
+  EXPECT_NE(tf.stall_report().find("\nqueue_depth 0\n"), std::string::npos);
 }
 
 TEST(StallReport, DispatchedRunsAreClientsOfThePrivateExecutor) {
@@ -222,7 +222,7 @@ TEST(StallReport, CoversSimpleExecutorAndCancelledState) {
   });
   auto handle = tf.dispatch();
   while (!started.load()) std::this_thread::yield();
-  EXPECT_NE(tf.stall_report().find("simple executor"), std::string::npos);
+  EXPECT_NE(tf.stall_report().find("\nbackend simple\n"), std::string::npos);
   handle.cancel();
   const std::string report = tf.stall_report();
   EXPECT_NE(report.find("[draining: cancelled]"), std::string::npos) << report;

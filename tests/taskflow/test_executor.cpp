@@ -160,7 +160,7 @@ TEST(Executor, CacheDisabledStillCorrect) {
   tf.linearize(chain);
   tf.wait_for_all();
   EXPECT_EQ(counter.load(), 1000);
-  EXPECT_EQ(executor->num_cache_hits(), 0u);
+  EXPECT_EQ(executor->stats().cache_hits, 0u);
 }
 
 TEST(Executor, CacheEnabledReportsHitsOnLinearChain) {
@@ -171,7 +171,7 @@ TEST(Executor, CacheEnabledReportsHitsOnLinearChain) {
   tf.linearize(chain);
   tf.wait_for_all();
   // Nearly every link of the chain should have gone through the cache.
-  EXPECT_GT(executor->num_cache_hits(), 500u);
+  EXPECT_GT(executor->stats().cache_hits, 500u);
 }
 
 TEST(Executor, ZeroBalanceProbabilityStillCompletes) {
@@ -188,10 +188,10 @@ TEST(Executor, ZeroBalanceProbabilityStillCompletes) {
 TEST(Executor, IdlersParkWhenNoWork) {
   auto executor = tf::make_executor(4);
   // Give workers time to go idle.
-  for (int i = 0; i < 200 && executor->num_idlers() < 4; ++i) {
+  for (int i = 0; i < 200 && executor->stats().num_idlers < 4; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(executor->num_idlers(), 4u);
+  EXPECT_EQ(executor->stats().num_idlers, 4u);
   // They must wake up and do work afterwards.
   tf::Taskflow tf(executor);
   std::atomic<int> counter{0};

@@ -499,16 +499,16 @@ TEST_P(FaultModel, OverloadStormDrainsWithCoherentOutcomes) {
 
     // Conservation: every admitted run resolved exactly once, every shed was
     // counted, and nothing is left in flight.
-    EXPECT_EQ(executor.num_shed(), static_cast<std::size_t>(shed.load()))
+    EXPECT_EQ(executor.metrics().shed, static_cast<std::size_t>(shed.load()))
         << "iteration " << iter;
-    EXPECT_EQ(executor.num_admitted(),
+    EXPECT_EQ(executor.metrics().admitted,
               static_cast<std::size_t>(ok.load() + shed.load() + timed.load() +
                                        faulted.load()))
         << "iteration " << iter;
     if (!chaos) {
       // Without a shutdown in the mix, an empty try_run is always an
       // overload rejection and the executor counted it as one.
-      EXPECT_EQ(executor.num_rejected(),
+      EXPECT_EQ(executor.metrics().rejected,
                 static_cast<std::size_t>(rejected.load() + empty_try.load()))
           << "iteration " << iter;
     }

@@ -110,8 +110,8 @@ TEST_P(ShutdownStorm, DrainUnblocksEveryParkedSubmitter) {
   EXPECT_NO_THROW(h0.get());
   // Shutdown rejections are not overload: the reject counter stays clean,
   // and the admitted count covers exactly the runs that got in.
-  EXPECT_EQ(executor.num_rejected(), 0u);
-  EXPECT_EQ(executor.num_admitted(),
+  EXPECT_EQ(executor.metrics().rejected, 0u);
+  EXPECT_EQ(executor.metrics().admitted,
             1u + static_cast<std::size_t>(admitted_late.load()));
   EXPECT_EQ(executor.num_topologies(), 0u);
 }
@@ -158,9 +158,9 @@ TEST_P(ShutdownStorm, AbortReadiesShedAndQueuedHandles) {
     }
   }
   EXPECT_EQ(ok + shed, handles.size());
-  EXPECT_EQ(executor.num_shed(), shed);
-  EXPECT_EQ(executor.num_admitted(), handles.size());
-  EXPECT_EQ(executor.num_rejected(), 0u);
+  EXPECT_EQ(executor.metrics().shed, shed);
+  EXPECT_EQ(executor.metrics().admitted, handles.size());
+  EXPECT_EQ(executor.metrics().rejected, 0u);
   EXPECT_EQ(executor.num_topologies(), 0u);
   EXPECT_THROW((void)executor.run(gated), tf::ShutdownError);
 }
@@ -188,7 +188,7 @@ TEST_P(ShutdownStorm, HalfOpenBreakerProbeSurvivesDrain) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_THROW(executor.run(flaky).get(), Boom);
   }
-  EXPECT_EQ(executor.num_breaker_trips(), 1u);
+  EXPECT_EQ(executor.metrics().breaker_trips, 1u);
   EXPECT_THROW((void)executor.run(flaky), tf::BreakerOpenError);  // open
 
   std::this_thread::sleep_for(2ms);  // past the cooldown: half-open
@@ -206,8 +206,8 @@ TEST_P(ShutdownStorm, HalfOpenBreakerProbeSurvivesDrain) {
   EXPECT_NO_THROW(probe.get());
   // Two failing runs + the probe were admitted; the BreakerOpenError while
   // open was a door rejection.
-  EXPECT_EQ(executor.num_admitted(), 3u);
-  EXPECT_EQ(executor.num_rejected(), 1u);
+  EXPECT_EQ(executor.metrics().admitted, 3u);
+  EXPECT_EQ(executor.metrics().rejected, 1u);
   EXPECT_THROW((void)executor.run(flaky), tf::ShutdownError);
 }
 
@@ -315,10 +315,10 @@ TEST_P(ShutdownStorm, MidStormShutdownAccountsEveryHandle) {
     ASSERT_EQ(never_ready.load(), 0) << "iteration " << iter;
     // Conservation at quiescence: every admitted run resolved exactly once;
     // door rejections (overload, NOT shutdown) match the reject counter.
-    EXPECT_EQ(executor.num_admitted(), ok.load() + faulted.load() + shed.load())
+    EXPECT_EQ(executor.metrics().admitted, ok.load() + faulted.load() + shed.load())
         << "iteration " << iter;
-    EXPECT_EQ(executor.num_shed(), shed.load()) << "iteration " << iter;
-    EXPECT_EQ(executor.num_rejected(), door_rejected.load())
+    EXPECT_EQ(executor.metrics().shed, shed.load()) << "iteration " << iter;
+    EXPECT_EQ(executor.metrics().rejected, door_rejected.load())
         << "iteration " << iter;
     EXPECT_EQ(executor.num_topologies(), 0u) << "iteration " << iter;
   }

@@ -379,8 +379,13 @@ def attach_deltas(doc, baseline):
     doc["delta_pct_vs_baseline"] = deltas
 
 
-# Every taskflow/support gtest binary the sanitizer gates build and run,
-# including the error-model suites (test_errors/test_cancel/test_diagnostics),
+# Every gtest binary labelled taskflow, support or service: the sanitizer
+# gates build exactly these targets, then run ctest -L over those labels.
+# A discovered suite whose target was not built registers only an
+# unlabelled <target>_NOT_BUILT entry, which the label filter drops
+# silently, so every labelled target must be listed - the support suites
+# (test_rng/test_chrono/test_table/test_env/test_function) included.  The
+# list covers the error-model suites (test_errors/test_cancel/test_diagnostics),
 # the fault-injection harness (test_fault, ctest label "fault"), the
 # multi-client executor suite (test_executor_api, label "executor_api"), the
 # resilience-policy suite (test_resilience, label "resilience"), the
@@ -399,7 +404,8 @@ SANITIZER_TEST_TARGETS = [
     "test_errors", "test_cancel", "test_diagnostics", "test_fault",
     "test_executor_api", "test_function", "test_resilience", "test_arena",
     "test_admission", "test_condition", "test_composition",
-    "test_shutdown_storm", "test_server",
+    "test_shutdown_storm", "test_server", "test_rng", "test_chrono",
+    "test_table", "test_env",
 ]
 
 
