@@ -34,8 +34,6 @@ int repro_repeats() {
   return static_cast<int>(env_int("REPRO_REPEATS", 3));
 }
 
-bool repro_cycle_check() { return env_int("REPRO_CYCLE_CHECK", 1) != 0; }
-
 int repro_fault_iters() {
   return static_cast<int>(env_int("REPRO_FAULT_ITERS", 30));
 }

@@ -26,11 +26,6 @@ namespace support {
 /// Number of repeats per measurement (REPRO_REPEATS, default 3).
 [[nodiscard]] int repro_repeats();
 
-/// Dispatch-time cycle detection of tf::Taskflow (REPRO_CYCLE_CHECK,
-/// default on).  Set to 0 to skip the O(V+E) acyclicity sweep for
-/// dispatch-latency-critical graphs that are acyclic by construction.
-[[nodiscard]] bool repro_cycle_check();
-
 /// Iterations of the fault-injection stress tests (REPRO_FAULT_ITERS,
 /// default 30); raise for longer soak runs under the sanitizers.
 [[nodiscard]] int repro_fault_iters();

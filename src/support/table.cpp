@@ -38,9 +38,23 @@ void Table::print(std::ostream& os) const {
 }
 
 void Table::print_csv(std::ostream& os, const std::string& tag) const {
+  // RFC 4180: a cell holding a comma or a quote is quoted and its quotes
+  // doubled, so a fmt_count() cell such as "16,384" stays one cell.
   auto emit = [&](const std::vector<std::string>& row) {
     os << "CSV," << tag;
-    for (const auto& cell : row) os << "," << cell;
+    for (const auto& cell : row) {
+      os << ",";
+      if (cell.find_first_of(",\"") == std::string::npos) {
+        os << cell;
+        continue;
+      }
+      os << '"';
+      for (char c : cell) {
+        if (c == '"') os << '"';
+        os << c;
+      }
+      os << '"';
+    }
     os << "\n";
   };
   emit(_headers);

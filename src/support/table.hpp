@@ -23,6 +23,7 @@ class Table {
   void print(std::ostream& os) const;
 
   /// Render CSV lines ("CSV,<h1>,<h2>,..." then one line per row) to `os`.
+  /// Cells holding a comma or a quote are quoted (RFC 4180).
   void print_csv(std::ostream& os, const std::string& tag) const;
 
   [[nodiscard]] std::size_t num_rows() const { return _rows.size(); }

@@ -97,7 +97,8 @@ struct ErrorState {
 
   /// Deadline of the run in steady-clock nanoseconds since epoch (0 = none).
   /// Set once at submission when the run carries a RunPolicy timeout; read
-  /// by tf::this_task::deadline() and by the watchdog's deadline sweep.
+  /// by tf::this_task::deadline() and by the stall report.  Expiry itself is
+  /// the backend timer queue's job - no sweep reads this field.
   std::atomic<std::int64_t> deadline_ns{0};
 
   /// Set (with the drain) when the deadline fired - distinguishes

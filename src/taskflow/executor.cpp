@@ -213,10 +213,10 @@ void ExecutorInterface::run_task(std::size_t worker_id, Node* node) {
           if (delay.count() <= 0) {
             schedule(node);
           } else {
-            // Park the node on the timer wheel: no worker blocks while the
-            // backoff elapses, and the wheel re-enqueues through the normal
-            // external-submission path.
-            timer_wheel()->schedule_after(delay, [this, node] { schedule(node); });
+            // Park the node on the timer queue: no worker blocks while the
+            // backoff elapses, and the timer thread re-enqueues through the
+            // normal external-submission path.
+            _timers.schedule_after(delay, [this, node] { schedule(node); });
           }
           return;  // NOT finalized: the node is still a live task of its run
         }
@@ -355,37 +355,6 @@ void ExecutorInterface::finalize(Node* node, detail::ReadyBatch& ready,
   if (delta != 0) topology->retire_delta(delta);
 }
 
-const std::shared_ptr<detail::TimerWheel>& ExecutorInterface::timer_wheel() {
-  // Double-checked lazy creation: the service thread only exists once some
-  // resilience feature (retry backoff, deadline, cancel_after) is used.
-  if (_timer_wheel_raw.load(std::memory_order_acquire) == nullptr) {
-    std::scoped_lock lock(_resilience_mutex);
-    if (_timer_wheel == nullptr) {
-      _timer_wheel = std::make_shared<detail::TimerWheel>();
-      _timer_wheel_raw.store(_timer_wheel.get(), std::memory_order_release);
-    }
-  }
-  return _timer_wheel;
-}
-
-std::shared_ptr<detail::TimerWheel> ExecutorInterface::timer_wheel_if_created()
-    const {
-  if (_timer_wheel_raw.load(std::memory_order_acquire) == nullptr) return nullptr;
-  std::scoped_lock lock(_resilience_mutex);
-  return _timer_wheel;
-}
-
-void ExecutorInterface::stop_timer_wheel() noexcept {
-  std::shared_ptr<detail::TimerWheel> wheel;
-  {
-    std::scoped_lock lock(_resilience_mutex);
-    wheel = _timer_wheel;
-  }
-  // stop() joins the service thread, so after this no wheel callback can be
-  // re-entering schedule() on the (derived) executor being destroyed.
-  if (wheel != nullptr) wheel->stop();
-}
-
 void ExecutorInterface::enable_progress_probes() {
   std::scoped_lock lock(_resilience_mutex);
   if (_probes != nullptr) return;
@@ -413,6 +382,13 @@ std::vector<ExecutorInterface::ProbeSample> ExecutorInterface::sample_probes()
     out[i].completed = probes[i].completed.load(std::memory_order_relaxed);
   }
   return out;
+}
+
+void ExecutionHandle::cancel_after(std::chrono::nanoseconds delay) const {
+  if (_state == nullptr) return;
+  if (auto backend = _backend.lock()) {
+    backend->timers().schedule_after(delay, [state = _state] { state->cancel(); });
+  }
 }
 
 namespace this_task {
@@ -455,9 +431,9 @@ WorkStealingExecutor::WorkStealingExecutor(std::size_t num_workers,
 }
 
 WorkStealingExecutor::~WorkStealingExecutor() {
-  // Join the timer-wheel service thread first: its callbacks re-enter the
-  // virtual schedule(), which must not race worker teardown.
-  stop_timer_wheel();
+  // Join the timer thread first: its callbacks re-enter the virtual
+  // schedule(), which must not race worker teardown.
+  timers().stop();
   {
     std::scoped_lock lock(_mutex);
     _stop = true;
@@ -790,7 +766,7 @@ SimpleExecutor::SimpleExecutor(std::size_t num_workers) {
 }
 
 SimpleExecutor::~SimpleExecutor() {
-  stop_timer_wheel();  // see WorkStealingExecutor::~WorkStealingExecutor
+  timers().stop();  // see WorkStealingExecutor::~WorkStealingExecutor
   {
     std::scoped_lock lock(_mutex);
     _stop = true;

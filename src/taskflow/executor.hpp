@@ -42,7 +42,7 @@
 #include "taskflow/error.hpp"
 #include "taskflow/graph.hpp"
 #include "taskflow/observer.hpp"
-#include "taskflow/timer_wheel.hpp"
+#include "taskflow/timer_queue.hpp"
 #include "taskflow/wsq.hpp"
 
 namespace tf {
@@ -152,14 +152,16 @@ class ExecutorInterface {
     return _observer;
   }
 
-  /// The executor's timer wheel (retry backoff, run deadlines, cancel_after).
-  /// Created - together with its service thread - on first call, so
-  /// executors that never touch a resilience feature never pay the thread.
-  [[nodiscard]] const std::shared_ptr<detail::TimerWheel>& timer_wheel();
-
-  /// The wheel if one was ever created, else nullptr (diagnostics: pending
-  /// timer count in stall reports without forcing the thread into being).
-  [[nodiscard]] std::shared_ptr<detail::TimerWheel> timer_wheel_if_created() const;
+  /// The backend's timer queue (retry backoff, run deadlines, cancel_after).
+  /// Its thread starts with the first schedule_after(), so executors that
+  /// never touch a resilience feature never pay it; num_pending() and
+  /// cancel() never start it.  Every derived destructor MUST call
+  /// timers().stop() before tearing down its own scheduling state: timer
+  /// callbacks re-enter the virtual schedule(), so the thread may not
+  /// outlive the derived object.  Entries still pending are dropped -
+  /// legal because an executor is only destroyed after all topologies
+  /// (including any with waiting retries or live deadlines) have drained.
+  [[nodiscard]] detail::TimerQueue& timers() noexcept { return _timers; }
 
   // ---- per-worker progress probes (watchdog substrate) --------------------
 
@@ -207,14 +209,6 @@ class ExecutorInterface {
   /// that could never complete.
   bool dispatch_subgraph(Node* node, bool detached);
 
-  /// Stop and join the timer wheel thread if one exists.  Every derived
-  /// destructor MUST call this before tearing down its own scheduling state:
-  /// wheel callbacks re-enter the virtual schedule(), so the wheel may not
-  /// outlive the derived object.  Entries still pending are dropped - legal
-  /// because an executor is only destroyed after all topologies (including
-  /// any with waiting retries or live deadlines) have drained.
-  void stop_timer_wheel() noexcept;
-
   /// Acquire/release-published observer pointer read by run_task on every
   /// task (a plain load on x86); ownership lives behind _observer_mutex.
   std::atomic<ExecutorObserverInterface*> _observer_raw{nullptr};
@@ -231,11 +225,11 @@ class ExecutorInterface {
     std::atomic<std::uint64_t> completed{0};
   };
 
-  /// Lazily created resilience plumbing; the raw pointers are the hot-path
-  /// probes (one acquire load each), ownership sits behind _resilience_mutex.
+  detail::TimerQueue _timers;
+
+  /// Lazily created progress probes; the raw pointer is the hot-path probe
+  /// (one acquire load), ownership sits behind _resilience_mutex.
   mutable std::mutex _resilience_mutex;
-  std::shared_ptr<detail::TimerWheel> _timer_wheel;
-  std::atomic<detail::TimerWheel*> _timer_wheel_raw{nullptr};
   std::unique_ptr<WorkerProbe[]> _probes;
   std::atomic<WorkerProbe*> _probes_raw{nullptr};
   std::size_t _num_probes{0};  // written once before _probes_raw publishes

@@ -62,8 +62,9 @@ class ExecutorObserverInterface {
   }
 
   /// Called when a run's RunPolicy deadline expired and won the drain race
-  /// (the run will complete with tf::TimeoutError).  Invoked from the timer
-  /// or watchdog thread, not from a worker.
+  /// (the run will complete with tf::TimeoutError).  Invoked from the
+  /// backend's timer thread only, never from a worker or the watchdog; a
+  /// slow handler delays every later timer of that backend.
   virtual void on_topology_timeout() {}
 };
 

@@ -104,7 +104,7 @@ class Task {
   }
 
   /// Attach a full retry policy: attempt budget, exponential backoff with
-  /// jitter (the node re-enqueues through the executor's timer wheel - no
+  /// jitter (the node re-enqueues through the executor's timer queue - no
   /// worker blocks during the delay), and an optional failure filter.
   Task& retry(RetryPolicy p) {
     if (p.max_attempts < 1) p.max_attempts = 1;

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/env.hpp"
 #include "taskflow/dot.hpp"
 
 namespace tf {
@@ -18,10 +17,7 @@ namespace {
 // Throws tf::CycleError when `graph` is cyclic.  Runs before the graph is
 // handed to a Topology, so a failed dispatch leaves the caller's graph
 // intact (the scratched join counters are re-initialized by the next arm()).
-// REPRO_CYCLE_CHECK=0 skips the O(V+E) sweep for dispatch-latency-critical
-// code that guarantees acyclicity by construction.
 void throw_if_cyclic(Graph& graph, const char* origin) {
-  if (!support::repro_cycle_check()) return;
   if (std::string cycle = detail::describe_cycle(graph); !cycle.empty()) {
     throw CycleError(std::string(origin) + ": " + cycle);
   }
@@ -241,45 +237,89 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     }
   }
 
-  auto topology = std::make_shared<Topology>(&taskflow.graph());
-  topology->_client = this;
-  topology->_kind = Topology::RunKind::queued;
-  topology->_remaining = n;
-  topology->_stop_pred = std::move(stop);
-  topology->_priority = band;
-  if (_admission_active) {
-    topology->_admit = Topology::AdmitState::queued;
-    topology->_cost = std::max<std::size_t>(1, taskflow.graph().size());
-    topology->_breaker_probe = claimed_probe;
-  }
+  // Phase 2: every step that can throw (allocation, the cycle check, the
+  // first timer start) runs before the push that makes the run visible,
+  // inside one rollback: a failed submission leaves no admission charge,
+  // timer, ring entry or empty client queue behind.
+  const bool slot_free = !_admission_active ||
+                         _options.max_concurrent_topologies == 0 ||
+                         _adm_started < _options.max_concurrent_topologies;
+  std::shared_ptr<Topology> topology;
+  std::shared_ptr<ClientQueue> cq;
+  std::unique_lock<std::mutex> queue_lock;
+  bool head = false;
+  bool ringed = false;
+  try {
+    topology = std::make_shared<Topology>(&taskflow.graph());
+    topology->_client = this;
+    topology->_kind = Topology::RunKind::queued;
+    topology->_remaining = n;
+    topology->_stop_pred = std::move(stop);
+    topology->_priority = band;
+    if (_admission_active) {
+      topology->_admit = Topology::AdmitState::queued;
+      topology->_cost = std::max<std::size_t>(1, taskflow.graph().size());
+      topology->_breaker_probe = claimed_probe;
+    }
 
-  // Phase 2: find-or-create the client's run queue, then push under BOTH
-  // locks (registry, then queue - the global lock order): releasing the
-  // registry lock before the push would let a concurrent drain erase the
-  // queue and a concurrent submit create a second one, breaking
-  // same-taskflow FIFO serialization.
-  std::unique_lock clients_lock(_clients_mutex);
-  auto& slot = _clients[&taskflow];
-  if (slot == nullptr) slot = std::make_shared<ClientQueue>(&taskflow);
-  std::shared_ptr<ClientQueue> cq = slot;
-  std::unique_lock queue_lock(cq->mutex);
-  clients_lock.unlock();
+    // Find-or-create the client's run queue and lock it under the registry
+    // lock (registry, then queue - the global lock order): releasing the
+    // registry lock before the push would let a concurrent drain erase the
+    // queue and a concurrent submit create a second one, breaking
+    // same-taskflow FIFO serialization.
+    {
+      std::scoped_lock clients_lock(_clients_mutex);
+      auto it = _clients.find(&taskflow);
+      if (it == _clients.end()) {
+        it = _clients.emplace(&taskflow, std::make_shared<ClientQueue>(&taskflow))
+                 .first;
+      }
+      cq = it->second;
+      queue_lock = std::unique_lock(cq->mutex);
+    }
 
-  const bool head = cq->queue.empty();
-  if (head) {
+    head = cq->queue.empty();
     // An empty queue means nothing of this taskflow is queued or in flight,
     // so the cycle check (which scratches the graph's join counters) cannot
     // race task execution.  Queued resubmissions skip the re-check: the
     // graph is immutable while runs are in flight, so its verdict holds.
-    try {
-      throw_if_cyclic(taskflow.graph(), "run");
-    } catch (...) {
-      queue_lock.unlock();
-      if (_admission_active) {
-        unadmit_locked(taskflow, claimed_probe);
-        _adm_cv.notify_all();
-        adm.unlock();
+    if (head) throw_if_cyclic(taskflow.graph(), "run");
+    register_live(topology);
+    // Arm the deadline before the queue lock is released: the completion
+    // side (which disarms the timer) acquires this lock to pop, so the
+    // timer-id write can never race it.  The budget starts now - FIFO queue
+    // time counts.
+    if (policy.timeout.count() > 0) arm_deadline(*topology, policy);
+    if (_admission_active) {
+      // Make room for phase 3's shed-stack push and do its ring push here
+      // (undone below), so nothing after the queue push allocates.
+      auto& stack = _adm_shed_stack[band];
+      if (_options.shed_watermark > 0 && stack.size() == stack.capacity()) {
+        stack.reserve(2 * stack.size() + 16);
       }
+      if (head && !slot_free) ringed = ring_push_locked(cq, band);
+    }
+    topology->_client_tag = cq.get();
+    topology->_client_hold = cq;  // the queue outlives every run it holds
+    cq->queue.push_back(topology);
+  } catch (...) {
+    if (queue_lock.owns_lock()) queue_lock.unlock();
+    if (topology != nullptr) {
+      disarm_deadline(*topology);
+      // A concurrent shutdown() may have pinned the registered run and
+      // waits on its future: complete it, though it never ran.
+      topology->finish();
+    }
+    if (_admission_active) {
+      if (ringed) {
+        _adm_ready[band].pop_back();
+        cq->in_ring = false;
+      }
+      unadmit_locked(taskflow, claimed_probe);
+      _adm_cv.notify_all();
+      adm.unlock();
+    }
+    if (cq != nullptr) {
       // Drop the (empty) queue we may have just registered, re-checking
       // under both locks: a concurrent submit may have pushed meanwhile.
       std::scoped_lock relock(_clients_mutex);
@@ -288,21 +328,12 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
         std::scoped_lock requeue(cq->mutex);
         if (cq->queue.empty()) _clients.erase(it);
       }
-      throw;
     }
+    throw;
   }
-
-  topology->_client_tag = cq.get();
-  topology->_client_hold = cq;  // the queue outlives every run it holds
-  cq->queue.push_back(topology);
   // Count under the queue lock: the completion-side decrement pops under
   // this lock first, so it can never overtake this increment.
   _num_topologies.fetch_add(1, std::memory_order_relaxed);
-  register_live(topology);
-  // Arm the deadline before the lock is released: the completion side (which
-  // disarms the timer) acquires this lock to pop, so the timer-id write can
-  // never race it.  The budget starts now - FIFO queue time counts.
-  if (policy.timeout.count() > 0) arm_deadline(*topology, policy);
   queue_lock.unlock();
 
   if (!_admission_active) {
@@ -311,21 +342,15 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     return topology;
   }
 
-  // Phase 3: start / ring / shed decisions, still under the admission lock.
+  // Phase 3: start / shed decisions, still under the admission lock.
   _adm_admitted.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::shared_ptr<Topology>> to_start;
+  const bool start_now = head && slot_free;
+  if (start_now) {
+    ++_adm_started;
+    topology->_admit = Topology::AdmitState::started;
+  }
   std::vector<std::shared_ptr<Topology>> shed_victims;
   std::vector<std::shared_ptr<ClientQueue>> emptied;
-  if (head) {
-    if (_options.max_concurrent_topologies == 0 ||
-        _adm_started < _options.max_concurrent_topologies) {
-      ++_adm_started;
-      topology->_admit = Topology::AdmitState::started;
-      to_start.push_back(topology);
-    } else {
-      ring_push_locked(cq, band);
-    }
-  }
   if (_options.shed_watermark > 0) {
     // Track the run as a shed candidate (lowest band pops first, newest
     // first within a band), pruning entries of finished/started runs once
@@ -346,7 +371,7 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
   }
   adm.unlock();
 
-  for (auto& t : to_start) start(*t);
+  if (start_now) start(*topology);
   for (auto& victim : shed_victims) finish_shed(victim);
   for (auto& empty_cq : emptied) release_client(empty_cq.get());
   return topology;
@@ -417,10 +442,11 @@ void Executor::unadmit_locked(const Taskflow& taskflow, bool claimed_probe) {
   if (_adm_pending > 0) --_adm_pending;
 }
 
-void Executor::ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band) {
-  if (cq->in_ring) return;
-  cq->in_ring = true;
+bool Executor::ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band) {
+  if (cq->in_ring) return false;
   _adm_ready[band].push_back(cq);
+  cq->in_ring = true;
+  return true;
 }
 
 void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start) {
@@ -767,9 +793,9 @@ void Executor::arm_deadline(Topology& topology, RunPolicy policy) {
   state->set_deadline(std::chrono::steady_clock::now() + policy.timeout);
   // The callback captures the *shared* state (not the topology), so a run
   // finishing before its deadline is never pinned nor dangled; the backend
-  // pointer is safe because wheel callbacks run on the wheel's service
-  // thread, which the backend joins before any of its teardown.
-  topology._deadline_timer = _backend->timer_wheel()->schedule_after(
+  // pointer is safe because timer callbacks run on the timer thread, which
+  // the backend joins before any of its teardown.
+  topology._deadline_timer = _backend->timers().schedule_after(
       policy.timeout,
       [shared = topology.shared_error_state(), backend = _backend.get()] {
         if (shared->expire("run deadline exceeded")) {
@@ -779,11 +805,9 @@ void Executor::arm_deadline(Topology& topology, RunPolicy policy) {
 }
 
 void Executor::disarm_deadline(Topology& topology) {
-  if (topology._deadline_timer == detail::TimerWheel::kInvalidTimer) return;
-  if (auto wheel = _backend->timer_wheel_if_created()) {
-    wheel->cancel(topology._deadline_timer);
-  }
-  topology._deadline_timer = detail::TimerWheel::kInvalidTimer;
+  if (!topology._deadline_timer) return;
+  _backend->timers().cancel(topology._deadline_timer);
+  topology._deadline_timer = {};
 }
 
 void Executor::release_client(ClientQueue* cq) {
@@ -906,32 +930,8 @@ void Executor::watchdog_loop() {
     }
     lock.unlock();
 
-    // 1. Deadline sweep (belt-and-braces over the timer wheel): collect the
-    // expired states under the registry locks, fire expire() outside them -
-    // the observer hook is user code and must not run under our locks.
-    std::vector<std::shared_ptr<detail::ErrorState>> expired;
-    const auto now = std::chrono::steady_clock::now();
-    {
-      std::scoped_lock clients_lock(_clients_mutex);
-      for (auto& [owner, cq] : _clients) {
-        std::scoped_lock queue_lock(cq->mutex);
-        for (auto& topology : cq->queue) {
-          detail::ErrorState* state = topology->error_state();
-          if (state->draining()) continue;
-          if (auto d = state->deadline(); d && *d <= now) {
-            expired.push_back(topology->shared_error_state());
-          }
-        }
-      }
-    }
-    for (auto& state : expired) {
-      if (state->expire("run deadline exceeded")) {
-        if (auto obs = _backend->observer()) obs->on_topology_timeout();
-      }
-    }
-
-    // 2. Progress-probe scan: a worker continuously inside one task for
-    // longer than the threshold flags a stall.
+    // Progress-probe scan: a worker continuously inside one task for longer
+    // than the threshold flags a stall.
     bool stalled = false;
     for (const auto& sample : _backend->sample_probes()) {
       if (sample.node != nullptr && sample.busy_for >= options.task_threshold) {
@@ -1039,9 +1039,7 @@ Executor::Metrics Executor::metrics() const {
   m.scheduler = _backend->stats();
   m.num_topologies = num_topologies();
   m.num_asyncs = num_asyncs();
-  if (auto wheel = _backend->timer_wheel_if_created()) {
-    m.pending_timers = wheel->num_pending();
-  }
+  m.pending_timers = _backend->timers().num_pending();
   m.admission_active = _admission_active;
   m.admitted = _adm_admitted.load(std::memory_order_relaxed);
   m.rejected = _adm_rejected.load(std::memory_order_relaxed);

@@ -42,8 +42,7 @@
 //
 // Error model (see error.hpp / DESIGN.md §6):
 //  * run()/dispatch() verify the graph is acyclic and throw tf::CycleError
-//    with a descriptive message instead of deadlocking (disable the check
-//    with REPRO_CYCLE_CHECK=0 when submission cost matters more than safety);
+//    with a descriptive message instead of deadlocking;
 //  * a task that throws flips its topology into draining mode (remaining
 //    tasks are skipped, bookkeeping still runs, repeat runs stop) and the
 //    first exception is rethrown from the handle's get();
@@ -311,8 +310,9 @@ struct WatchdogOptions {
 
   /// Stall hook, called from the watchdog thread with the executor's
   /// stall_report() snapshot whenever at least one worker exceeds
-  /// `task_threshold`.  Default: none (the watchdog still enforces run
-  /// deadlines).  The hook must not submit work to or destroy the executor.
+  /// `task_threshold`.  Default: none (the probes still feed the busy-worker
+  /// lines of stall_report()).  The hook must not submit work to or destroy
+  /// the executor.
   std::function<void(const std::string& report)> on_stall{};
 };
 
@@ -395,10 +395,11 @@ class Executor : private detail::TopologyClient {
   [[nodiscard]] const ExecutorOptions& options() const noexcept { return _options; }
 
   /// Start the background watchdog thread: every `options.period` it
-  /// enforces expired run deadlines (belt-and-braces over the timer wheel)
-  /// and samples per-worker progress probes; a worker stuck in one task for
+  /// samples per-worker progress probes; a worker stuck in one task for
   /// longer than `options.task_threshold` fires `options.on_stall` with a
-  /// stall_report() snapshot.  Calling it again replaces the options.
+  /// stall_report() snapshot.  Run deadlines are not its job: the backend's
+  /// timer queue expires them whether or not a watchdog runs.  Calling it
+  /// again replaces the options.
   void enable_watchdog(WatchdogOptions options);
   void enable_watchdog(std::chrono::milliseconds period) {
     WatchdogOptions options;
@@ -607,7 +608,9 @@ class Executor : private detail::TopologyClient {
   /// nothing to do (empty graph or n == 0).  Starts it immediately when the
   /// client's queue was empty (and, under admission control, a concurrency
   /// slot is free).  A non-zero `policy.timeout` arms a deadline timer on
-  /// the backend's wheel.  Throws tf::ShutdownError after shutdown() began
+  /// the backend's timer queue.  A throw after admission (cycle check,
+  /// allocation failure) rolls the submission back: the run is never queued
+  /// or counted.  Throws tf::ShutdownError after shutdown() began
   /// and tf::OverloadError / tf::BreakerOpenError per the admission verdict
   /// - unless `nothrow` (the try_run path), which reports the verdict
   /// through `rejected` instead and never blocks.
@@ -625,7 +628,8 @@ class Executor : private detail::TopologyClient {
                             bool nothrow, bool& claimed_probe);
 
   /// Undo an admit_locked() charge when the submission fails after
-  /// admission (cycle check).  Called with _adm_mutex held.
+  /// admission (cycle check, allocation failure).  Called with _adm_mutex
+  /// held.
   void unadmit_locked(const Taskflow& taskflow, bool claimed_probe);
 
   /// Shed admitted-but-unstarted runs (lowest band first, newest first
@@ -645,9 +649,9 @@ class Executor : private detail::TopologyClient {
   /// outside the lock).  Called with _adm_mutex held.
   void dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start);
 
-  /// Enqueue `cq` on the ready ring of `band` unless it is already ringed.
-  /// Called with _adm_mutex held.
-  void ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band);
+  /// Enqueue `cq` on the ready ring of `band` unless it is already ringed;
+  /// returns whether it pushed.  Called with _adm_mutex held.
+  bool ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band);
 
   /// Update `taskflow`'s breaker with a finished run's outcome (a stored
   /// exception = failure).  Called with _adm_mutex held.
@@ -681,26 +685,27 @@ class Executor : private detail::TopologyClient {
   void register_live(const std::shared_ptr<Topology>& topology);
 
   /// Arm the RunPolicy deadline of a freshly submitted topology: stamp the
-  /// shared ErrorState (for this_task::deadline() and the watchdog sweep)
-  /// and schedule the expiry on the backend's timer wheel.
+  /// shared ErrorState (for this_task::deadline() and the stall report)
+  /// and schedule the expiry on the backend's timer queue - the one
+  /// mechanism that expires run deadlines.
   void arm_deadline(Topology& topology, RunPolicy policy);
 
-  /// Withdraw a completed run's deadline timer from the wheel, so a finished
-  /// run's state is not pinned by a timer that can no longer matter.
+  /// Withdraw a completed run's deadline timer from the timer queue, so a
+  /// finished run's state is not pinned by a timer that can no longer
+  /// matter.
   void disarm_deadline(Topology& topology);
 
-  /// Watchdog thread body: periodic deadline sweep + progress-probe scan.
+  /// Watchdog thread body: periodic progress-probe scan.
   void watchdog_loop();
 
-  /// Handles carry a weak reference to the backend's timer wheel so
-  /// cancel_after() outlives neither laziness nor the executor (a late
-  /// handle degrades to a no-op).  Creates the wheel object (not its
-  /// service thread - that starts on first use) on first call.
+  /// Handles carry a weak reference to the backend, whose timer queue
+  /// serves cancel_after(); a handle outliving the backend degrades to a
+  /// no-op.
   [[nodiscard]] ExecutionHandle handle_of(const std::shared_ptr<Topology>& topology) {
     return topology == nullptr
                ? ExecutionHandle{}
                : ExecutionHandle{topology->future(), topology->shared_error_state(),
-                                 _backend->timer_wheel()};
+                                 _backend};
   }
 
   std::shared_ptr<ExecutorInterface> _backend;

@@ -32,11 +32,12 @@
 
 #include "taskflow/error.hpp"
 #include "taskflow/graph.hpp"
-#include "taskflow/timer_wheel.hpp"
+#include "taskflow/timer_queue.hpp"
 
 namespace tf {
 
 class Executor;
+class ExecutorInterface;
 class Topology;
 
 namespace detail {
@@ -216,9 +217,10 @@ class Topology {
   int _priority{1};       // RunPolicy::priority band, clamped
   std::size_t _cost{1};   // deficit-round-robin cost: node count of the graph
   bool _breaker_probe{false};  // this run is its taskflow's half-open probe
-  // Deadline timer of the run's RunPolicy; withdrawn from the wheel when the
-  // run completes in time (so a finished run's state isn't pinned by it).
-  detail::TimerWheel::TimerId _deadline_timer{detail::TimerWheel::kInvalidTimer};
+  // Deadline timer of the run's RunPolicy; withdrawn from the backend's timer
+  // queue when the run completes in time (so a finished run's state isn't
+  // pinned by it).
+  detail::TimerQueue::TimerId _deadline_timer{};
 };
 
 /// Handle to one submitted execution, returned by Executor::run/run_n/
@@ -239,10 +241,10 @@ class ExecutionHandle {
 
   ExecutionHandle(std::shared_future<void> future,
                   std::shared_ptr<detail::ErrorState> state,
-                  std::weak_ptr<detail::TimerWheel> timers = {}) noexcept
+                  std::weak_ptr<ExecutorInterface> backend = {}) noexcept
       : _future(std::move(future)),
         _state(std::move(state)),
-        _timers(std::move(timers)) {}
+        _backend(std::move(backend)) {}
 
   /// Request cooperative cancellation: tasks not yet started skip their
   /// work, running tasks observe tf::this_task::is_cancelled(), and the
@@ -252,19 +254,14 @@ class ExecutionHandle {
     if (_state) _state->cancel();
   }
 
-  /// Deferred cancel: like cancel(), fired from the executor's timer wheel
+  /// Deferred cancel: like cancel(), fired from the executor's timer queue
   /// after `delay` - unless the execution finished first, in which case the
   /// late fire is a harmless no-op on the shared state.  Unlike a RunPolicy
   /// deadline this is a *plain* cancel: the future completes without a
   /// TimeoutError.  An explicit cancel() may still land first; whichever
   /// fires first starts the drain and the other is idempotent.  No-op on an
-  /// empty handle or once the owning executor is gone.
-  void cancel_after(std::chrono::nanoseconds delay) const {
-    if (_state == nullptr) return;
-    if (auto wheel = _timers.lock()) {
-      wheel->schedule_after(delay, [state = _state] { state->cancel(); });
-    }
-  }
+  /// empty handle or once the owning executor's backend is gone.
+  void cancel_after(std::chrono::nanoseconds delay) const;
 
   /// True when the execution drained because its RunPolicy deadline expired
   /// (get() then rethrows tf::TimeoutError).
@@ -306,9 +303,10 @@ class ExecutionHandle {
  private:
   std::shared_future<void> _future;
   std::shared_ptr<detail::ErrorState> _state;
-  // The submitting executor's timer wheel (cancel_after); weak so a handle
-  // outliving its executor degrades to a no-op instead of dangling.
-  std::weak_ptr<detail::TimerWheel> _timers;
+  // The submitting executor's backend, whose timer queue serves
+  // cancel_after; weak so a handle outliving it degrades to a no-op instead
+  // of dangling.
+  std::weak_ptr<ExecutorInterface> _backend;
 };
 
 }  // namespace tf

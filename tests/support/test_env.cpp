@@ -11,8 +11,7 @@ class EnvTest : public ::testing::Test {
   void TearDown() override {
     for (const char* name : {"REPRO_TEST_INT", "REPRO_TEST_DBL", "REPRO_SCALE",
                              "REPRO_MAX_THREADS", "REPRO_REPEATS",
-                             "REPRO_CYCLE_CHECK", "REPRO_FAULT_ITERS",
-                             "REPRO_FAULT_SEED"}) {
+                             "REPRO_FAULT_ITERS", "REPRO_FAULT_SEED"}) {
       unsetenv(name);
     }
   }
@@ -60,14 +59,6 @@ TEST_F(EnvTest, RepeatsKnob) {
   EXPECT_EQ(support::repro_repeats(), 3);
   setenv("REPRO_REPEATS", "1", 1);
   EXPECT_EQ(support::repro_repeats(), 1);
-}
-
-TEST_F(EnvTest, CycleCheckKnobDefaultsOn) {
-  EXPECT_TRUE(support::repro_cycle_check());
-  setenv("REPRO_CYCLE_CHECK", "0", 1);
-  EXPECT_FALSE(support::repro_cycle_check());
-  setenv("REPRO_CYCLE_CHECK", "1", 1);
-  EXPECT_TRUE(support::repro_cycle_check());
 }
 
 TEST_F(EnvTest, FaultInjectionKnobs) {

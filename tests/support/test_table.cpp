@@ -30,6 +30,17 @@ TEST(Table, CsvOutputIsMachineReadable) {
   EXPECT_NE(out.find("CSV,fig7,1,2"), std::string::npos);
 }
 
+TEST(Table, CsvQuotesCellsHoldingCommasOrQuotes) {
+  support::Table t({"tasks", "speedup"});
+  t.add_row({support::fmt_count(16384), support::fmt(1.0)});
+  t.add_row({"say \"hi\"", "2"});
+  std::ostringstream os;
+  t.print_csv(os, "t");
+  const std::string out = os.str();
+  EXPECT_NE(out.find("CSV,t,\"16,384\",1.00\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("CSV,t,\"say \"\"hi\"\"\",2\n"), std::string::npos) << out;
+}
+
 TEST(Fmt, FixedPrecision) {
   EXPECT_EQ(support::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(support::fmt(3.14159, 0), "3");

@@ -2,7 +2,9 @@
 // operator-new interposer counts every heap allocation made by this binary,
 // proving the arena claims of DESIGN.md §10 hold - O(1) amortized heap
 // allocations per emplace/precede (zero after Graph::reserve), recycled
-// storage on run_n replays, and pooled Executor::async boxes.
+// storage on run_n replays, and pooled Executor::async boxes.  A one-shot
+// countdown also lets it fail the k-th allocation, to prove a submission that
+// runs out of memory leaves the executor whole.
 //
 // Built only when REPRO_ALLOC_TESTS is ON and no sanitizer is active:
 // ASan/TSan replace the allocator themselves and must win.  The bounds below
@@ -16,9 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <future>
+#include <memory>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "taskflow/taskflow.hpp"
@@ -26,13 +32,28 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+// Allocations left before the one that fails; negative = disarmed or fired.
+std::atomic<long> g_fail_countdown{-1};
 
 std::size_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+// Arm the one-shot countdown: the k-th allocation from now (0-based) throws
+// std::bad_alloc.
+void fail_allocation(long k) { g_fail_countdown.store(k, std::memory_order_relaxed); }
+
+// Disarm the countdown; returns whether it fired.
+bool disarm_allocation_failure() {
+  return g_fail_countdown.exchange(-1, std::memory_order_relaxed) < 0;
+}
+
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (g_fail_countdown.load(std::memory_order_relaxed) >= 0 &&
+      g_fail_countdown.fetch_sub(1, std::memory_order_relaxed) == 0) {
+    throw std::bad_alloc();
+  }
   void* p = nullptr;
   if (align <= alignof(std::max_align_t)) {
     p = std::malloc(size == 0 ? 1 : size);
@@ -200,6 +221,81 @@ TEST(Alloc, AsyncSteadyStateReusesBoxes) {
   // Measured: ~3 (promise shared state + future plumbing).  A fresh
   // AsyncRun box per call (graph slab + box + index) would add ~3-4 more.
   EXPECT_LE(per_async, 5u) << "async boxes must come from the pool";
+}
+
+// One submission on a fresh executor, plus the taskflows its runs borrow.
+struct SubmitFixture {
+  tf::Taskflow one;
+  tf::Taskflow spinner;
+  tf::Executor executor;
+  explicit SubmitFixture(const tf::ExecutorOptions& options)
+      : executor(tf::make_executor(1), options) {
+    one.emplace([] {});
+    spinner.emplace([] {
+      const auto hard_stop = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!tf::this_task::is_cancelled() &&
+             std::chrono::steady_clock::now() < hard_stop) {
+        std::this_thread::yield();
+      }
+    });
+  }
+};
+
+// Fail the k-th allocation of run(taskflow, RunPolicy{10s}) for k = 0, 1,
+// 2, ... until the countdown outlasts the call.  Every step of a
+// submission's allocation - topology, client queue, registry entries,
+// deadline timer, the timer thread's start - may fail: the call then throws
+// std::bad_alloc and leaves nothing queued or counted, or it returns a
+// handle that becomes ready.  Either way a later deadline still fires.
+void sweep_submission_failures(const tf::ExecutorOptions& options) {
+  using namespace std::chrono_literals;
+  long k = 0;
+  for (;; ++k) {
+    ASSERT_LT(k, 10000) << "the countdown never outlasted the submission";
+    auto fixture = std::make_unique<SubmitFixture>(options);
+    tf::Executor& executor = fixture->executor;
+    // A worker's first park grows the idler list: let the one worker park
+    // so the countdown sees the submission only.
+    while (executor.metrics().scheduler.num_idlers < 1) std::this_thread::yield();
+    tf::ExecutionHandle handle;
+    bool threw = false;
+    fail_allocation(k);
+    try {
+      handle = executor.run(fixture->one, tf::RunPolicy{10s});
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    const bool fired = disarm_allocation_failure();
+    if (!threw) {
+      EXPECT_EQ(handle.wait_for(2s), std::future_status::ready) << "k=" << k;
+    }
+    if (!executor.wait_for_all_for(2s)) {
+      ADD_FAILURE() << "k=" << k << ": the failed submission stayed queued";
+      // Its destructor would wait forever: leak the wedged executor.
+      (void)fixture.release();
+      return;
+    }
+    const tf::Executor::Metrics m = executor.metrics();
+    EXPECT_EQ(m.adm_pending, 0u) << "k=" << k << ": leaked admission charge";
+    EXPECT_EQ(m.adm_started, 0u) << "k=" << k;
+    EXPECT_EQ(m.pending_timers, 0u) << "k=" << k << ": leaked deadline timer";
+    auto late = executor.run(fixture->spinner, tf::RunPolicy{20ms});
+    EXPECT_THROW(late.get(), tf::TimeoutError) << "k=" << k;
+    if (!fired) break;
+  }
+  EXPECT_GE(k, 5) << "the sweep must reach the submission's allocations";
+}
+
+TEST(Alloc, FailedSubmissionLeavesTheExecutorWhole) {
+  sweep_submission_failures(tf::ExecutorOptions{});
+}
+
+TEST(Alloc, FailedAdmittedSubmissionLeavesTheExecutorWhole) {
+  tf::ExecutorOptions options;
+  options.max_pending_per_client = 4;
+  options.max_concurrent_topologies = 1;
+  options.shed_watermark = 4;
+  sweep_submission_failures(options);
 }
 
 }  // namespace

@@ -350,7 +350,7 @@ TEST_P(FaultModel, FlakyTasksConvergeUnderConcurrentLoad) {
         std::atomic<int>* counter = counters.back().get();
         tf::RetryPolicy policy;
         policy.max_attempts = 4;
-        policy.backoff = rng.bernoulli(0.5) ? 500us : 0us;  // wheel + direct
+        policy.backoff = rng.bernoulli(0.5) ? 500us : 0us;  // timer queue + direct
         policy.jitter = 0.5;
         auto task = flow.emplace([counter, k] {
           if (counter->fetch_add(1) < k) throw InjectedFault();

@@ -330,7 +330,8 @@ TEST(Observer, TopologyTimeoutEventFiresExactlyOnce) {
   });
   auto handle = executor.run(taskflow, tf::RunPolicy{std::chrono::milliseconds(10)});
   EXPECT_THROW(handle.get(), tf::TimeoutError);
-  // Exactly one expiry wins the first-writer race (wheel vs watchdog sweep).
+  // The timer queue expires the run once; the first-writer protocol admits
+  // exactly one timeout event.
   EXPECT_EQ(obs->timeouts.load(), 1);
   EXPECT_EQ(obs->retries.load(), 0);
   EXPECT_EQ(obs->fallbacks.load(), 0);

@@ -1,13 +1,17 @@
 // Resilience policies (DESIGN.md §8): per-task retry/backoff via the
-// executor timer wheel, fallback degradation handlers, RunPolicy deadlines
+// executor timer queue, fallback degradation handlers, RunPolicy deadlines
 // and cancel_after, the executor watchdog, and shutdown(drain|abort) -
-// including destruction with in-flight topologies and pending asyncs.
+// including destruction with in-flight topologies and pending asyncs - plus
+// the timer queue itself.
 #include "taskflow/taskflow.hpp"
+#include "taskflow/timer_queue.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -127,7 +131,7 @@ TEST_P(ResilienceModel, BackoffDelaysRetriesWithoutBlockingWorkers) {
 
   const auto begin = std::chrono::steady_clock::now();
   auto handle = executor.run(taskflow);
-  // While the retried node parks on the timer wheel, the workers stay free:
+  // While the retried node parks on the timer queue, the workers stay free:
   // independent asyncs must complete during the ~50ms of accumulated backoff.
   std::vector<std::future<int>> fills;
   for (int i = 0; i < 16; ++i) fills.push_back(executor.async([i] { return i; }));
@@ -136,7 +140,7 @@ TEST_P(ResilienceModel, BackoffDelaysRetriesWithoutBlockingWorkers) {
   EXPECT_NO_THROW(handle.get());
   const auto elapsed = std::chrono::steady_clock::now() - begin;
   EXPECT_EQ(attempts.load(), 3);
-  EXPECT_GE(elapsed, 40ms);  // two backoff waits of 25ms (wheel: >= requested)
+  EXPECT_GE(elapsed, 40ms);  // two backoff waits of 25ms (timer: >= requested)
 }
 
 TEST_P(ResilienceModel, RetryIfFilterStopsUnretryableErrors) {
@@ -265,7 +269,7 @@ TEST(Resilience, DeadlineExpiryDeliversTimeoutError) {
   auto handle = executor.run(taskflow, tf::RunPolicy{50ms});
   EXPECT_THROW(handle.get(), tf::TimeoutError);
   const auto elapsed = std::chrono::steady_clock::now() - begin;
-  EXPECT_GE(elapsed, 45ms);  // the wheel never fires early
+  EXPECT_GE(elapsed, 45ms);  // the timer queue never fires early
   EXPECT_LT(elapsed, 30s);   // ...and the drain is prompt, not the hard stop
   EXPECT_TRUE(handle.timed_out());
   EXPECT_TRUE(handle.is_cancelled());
@@ -444,9 +448,9 @@ TEST(Resilience, WatchdogFlagsLongRunningTask) {
 }
 
 TEST(Resilience, WatchdogEnforcesDeadlines) {
-  // Belt-and-braces sweep: even with the hook unset, an enabled watchdog
-  // expires overdue runs (the timer wheel normally wins the race; either
-  // path must deliver exactly one TimeoutError).
+  // A running watchdog (no stall hook) leaves deadline expiry to the
+  // backend's timer queue, the one deadline mechanism: the run still
+  // delivers exactly one TimeoutError.
   tf::Executor executor(2);
   executor.enable_watchdog(5ms);
   tf::Taskflow taskflow;
@@ -473,6 +477,62 @@ TEST(Resilience, QuietWatchdogNeverFires) {
   executor.disable_watchdog();
   EXPECT_EQ(runs.load(), 320);
   EXPECT_EQ(stall_reports.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Timer queue
+// ---------------------------------------------------------------------------
+
+// Voluntary context switches of the calling thread so far.
+long voluntary_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+TEST(TimerQueue, SleepsUntilTheEarliestEntryIsDue) {
+  // One entry pending for 300 ms: the timer thread sleeps through the wait
+  // instead of waking on a fixed tick.  Both readings come from callbacks,
+  // so they measure the timer thread.
+  tf::detail::TimerQueue timers;
+  std::promise<long> at_start;
+  std::promise<long> at_due;
+  timers.schedule_after(300ms, [&] { at_due.set_value(voluntary_switches()); });
+  timers.schedule_after(0ms, [&] { at_start.set_value(voluntary_switches()); });
+  const long start = at_start.get_future().get();
+  const long due = at_due.get_future().get();
+  EXPECT_LE(due - start, 5);
+}
+
+TEST(TimerQueue, CancelReleasesTheCallbackBeforeReturning) {
+  tf::detail::TimerQueue timers;
+  auto state = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = state;
+  const auto id = timers.schedule_after(10s, [state = std::move(state)] {});
+  EXPECT_EQ(timers.num_pending(), 1u);
+  EXPECT_TRUE(timers.cancel(id));
+  EXPECT_TRUE(watch.expired());  // captured state gone with the entry
+  EXPECT_EQ(timers.num_pending(), 0u);
+  EXPECT_FALSE(timers.cancel(id));  // already cancelled
+
+  std::promise<void> fired;
+  const auto done = timers.schedule_after(0ms, [&] { fired.set_value(); });
+  fired.get_future().wait();
+  EXPECT_FALSE(timers.cancel(done));  // already fired
+}
+
+TEST(TimerQueue, FiresInDueOrderNotScheduleOrder) {
+  tf::detail::TimerQueue timers;
+  std::vector<int> order;  // written by the timer thread only
+  std::promise<void> both;
+  auto record = [&](int due_ms) {
+    order.push_back(due_ms);
+    if (order.size() == 2) both.set_value();
+  };
+  timers.schedule_after(600ms, [&] { record(600); });
+  timers.schedule_after(5ms, [&] { record(5); });
+  both.get_future().wait();
+  EXPECT_EQ(order, (std::vector<int>{5, 600}));
 }
 
 // ---------------------------------------------------------------------------
@@ -571,7 +631,7 @@ TEST(Resilience, DestructorDrainsInFlightTopologiesAndAsyncs) {
     tf::Executor executor(4);
     for (int i = 0; i < 8; ++i) handles.push_back(executor.run_n(taskflow, 4));
     for (int i = 0; i < 8; ++i) futures.push_back(executor.async([i] { return i; }));
-  }  // destructor: drain everything, then tear down workers and timer wheel
+  }  // destructor: drain everything, then tear down workers and timer queue
   for (auto& handle : handles) {
     EXPECT_EQ(handle.wait_for(0s), std::future_status::ready);
     EXPECT_NO_THROW(handle.get());
@@ -649,7 +709,7 @@ TEST(Resilience, RetriesAndFallbacksConvergeUnderConcurrentClients) {
         const int failures = (i == 3) ? 3 : i;
         tf::RetryPolicy policy;
         policy.max_attempts = 3;
-        policy.backoff = (c % 2 == 0) ? 0ms : 1ms;  // mixed: direct + wheel
+        policy.backoff = (c % 2 == 0) ? 0ms : 1ms;  // mixed: direct + timer queue
         policy.jitter = 0.5;
         auto task = flow.emplace([&node_attempts, i, failures, &converged] {
           if (node_attempts[i].fetch_add(1) < failures) throw Flaky();

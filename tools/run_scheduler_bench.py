@@ -41,9 +41,12 @@ the environment (see EXPERIMENTS.md); pin them for stable comparisons.
 """
 
 import argparse
+import csv
+import glob
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -155,29 +158,44 @@ def run_google_bench(build_dir, name):
     return results
 
 
+def cell_value(cell):
+    """A CSV cell as a number when it reads as one (thousands-grouped
+    counts such as "16,384" included), else the string."""
+    if re.fullmatch(r"-?\d{1,3}(,\d{3})+", cell):
+        cell = cell.replace(",", "")
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def read_csv_tables(stdout, source):
+    """Parse the `CSV,<table>,...` lines of a harness's stdout (RFC 4180
+    quoting) into {table: [row dicts]}; the first line of a table is its
+    header.  Exits non-zero on a row whose width differs from its header's:
+    a shifted row would mislabel every later column."""
+    headers, tables = {}, {}
+    for line in stdout.splitlines():
+        if not line.startswith("CSV,"):
+            continue
+        table, *cells = next(csv.reader([line]))[1:]
+        if table not in headers:
+            headers[table] = cells
+            tables[table] = []
+            continue
+        if len(cells) != len(headers[table]):
+            sys.exit(f"error: {source}: a CSV,{table} row has {len(cells)} "
+                     f"cells but its header has {len(headers[table])}: {line}")
+        tables[table].append(
+            {key: cell_value(cell) for key, cell in zip(headers[table], cells)})
+    return tables
+
+
 def run_figure_bench(build_dir, name):
     """Run one figure harness; returns {table_name: [row dicts]}."""
     exe = os.path.join(build_dir, "bench", name)
     proc = run([exe], capture_output=True, text=True)
-    tables = {}
-    headers = {}
-    for line in proc.stdout.splitlines():
-        if not line.startswith("CSV,"):
-            continue
-        fields = line.split(",")[1:]
-        table, cells = fields[0], fields[1:]
-        if table not in headers:
-            headers[table] = cells  # first CSV line of a table is its header
-            tables[table] = []
-            continue
-        row = {}
-        for key, cell in zip(headers[table], cells):
-            try:
-                row[key] = float(cell)
-            except ValueError:
-                row[key] = cell
-        tables[table].append(row)
-    return tables
+    return read_csv_tables(proc.stdout, name)
 
 
 def _run_service_once(exe, extra_env):
@@ -189,23 +207,10 @@ def _run_service_once(exe, extra_env):
     print("+", exe, f"({knobs})", flush=True)
     proc = subprocess.run([exe], check=True, capture_output=True,
                           text=True, env=env)
-    header, parsed = None, None
-    for line in proc.stdout.splitlines():
-        if not line.startswith("CSV,service_ingest,"):
-            continue
-        cells = line.split(",")[2:]
-        if header is None:
-            header = cells
-            continue
-        parsed = {}
-        for key, cell in zip(header, cells):
-            try:
-                parsed[key] = float(cell)
-            except ValueError:
-                parsed[key] = cell
-    if parsed is None:
+    rows = read_csv_tables(proc.stdout, exe).get("service_ingest")
+    if not rows:
         sys.exit(f"error: {exe} emitted no CSV,service_ingest data line")
-    return parsed
+    return rows[-1]
 
 
 def run_service_bench(build_dir):
@@ -379,34 +384,23 @@ def attach_deltas(doc, baseline):
     doc["delta_pct_vs_baseline"] = deltas
 
 
-# Every gtest binary labelled taskflow, support or service: the sanitizer
-# gates build exactly these targets, then run ctest -L over those labels.
-# A discovered suite whose target was not built registers only an
-# unlabelled <target>_NOT_BUILT entry, which the label filter drops
-# silently, so every labelled target must be listed - the support suites
-# (test_rng/test_chrono/test_table/test_env/test_function) included.  The
-# list covers the error-model suites (test_errors/test_cancel/test_diagnostics),
-# the fault-injection harness (test_fault, ctest label "fault"), the
-# multi-client executor suite (test_executor_api, label "executor_api"), the
-# resilience-policy suite (test_resilience, label "resilience"), the
-# graph-memory suite (test_arena, label "arena"), the in-graph
-# control-flow suites (test_condition/test_composition, label
-# "control_flow"), the shutdown-under-storm races (test_shutdown_storm,
-# label "admission"), and the service layer (test_server, label
-# "service" - shutdown/drain races with chaos on are exactly what TSan
-# should see).  test_alloc is deliberately
-# absent: its operator-new interposer cannot coexist with the sanitizer
-# runtimes, so CMake only builds it in plain trees.
-SANITIZER_TEST_TARGETS = [
-    "test_basics", "test_wsq", "test_subflow", "test_algorithms",
-    "test_partitioner", "test_executor", "test_dot", "test_dispatch",
-    "test_observer", "test_framework", "test_executor_matrix", "test_batch",
-    "test_errors", "test_cancel", "test_diagnostics", "test_fault",
-    "test_executor_api", "test_function", "test_resilience", "test_arena",
-    "test_admission", "test_condition", "test_composition",
-    "test_shutdown_storm", "test_server", "test_rng", "test_chrono",
-    "test_table", "test_env",
-]
+# The sanitizer gates run the ctest labels of these test directories.
+SANITIZER_SUITES = ["taskflow", "support", "service"]
+
+
+def sanitizer_test_targets():
+    """Every tests/<suite>/test_*.cpp target of SANITIZER_SUITES, derived
+    from the tree so a new suite is gated without a list to keep: a suite
+    whose target is not built registers only an unlabelled
+    <target>_NOT_BUILT entry, which the label filter would drop without a
+    message.  test_alloc is left out: its operator-new interposer cannot
+    coexist with the sanitizer runtimes, so CMake only defines it in plain
+    trees."""
+    return [os.path.splitext(os.path.basename(path))[0]
+            for suite in SANITIZER_SUITES
+            for path in sorted(glob.glob(
+                os.path.join(REPO_ROOT, "tests", suite, "test_*.cpp")))
+            if os.path.basename(path) != "test_alloc.cpp"]
 
 
 def run_sanitized(build_dir, cmake_flag, label):
@@ -414,9 +408,9 @@ def run_sanitized(build_dir, cmake_flag, label):
     run(["cmake", "-B", build_dir, "-S", REPO_ROOT, cmake_flag],
         stdout=subprocess.DEVNULL)
     run(["cmake", "--build", build_dir, "-j", "--target"]
-        + SANITIZER_TEST_TARGETS)
+        + sanitizer_test_targets())
     run(["ctest", "--test-dir", build_dir, "--output-on-failure", "-j2",
-         "-L", "taskflow|support|service"])
+         "-L", "|".join(SANITIZER_SUITES)])
     print(f"{label}: taskflow + support + service suites clean")
 
 
