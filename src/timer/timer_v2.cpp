@@ -1,22 +1,38 @@
-// timer_v2.cpp - the "OpenTimer v2" engine: every update builds a
-// tf::Taskflow task dependency graph over the affected cone - one task per
-// pin, one dependency per timing arc inside the cone - and runs it on the
-// timer's long-lived tf::Executor.
+// timer_v2.cpp - the "OpenTimer v2" engine: an update runs a tf::Taskflow
+// task dependency graph - one task per pin, one dependency per timing arc
+// inside the updated region - on the timer's long-lived tf::Executor.
+// An incremental update builds that graph over its cone.  A full update's
+// graph spans every pin and its shape never changes, so it is built once and
+// replayed by later full updates until an incremental update recycles the
+// taskflow.
 // No levelization, no per-level barriers: computation flows asynchronously
 // with the timing graph (paper §IV-B).
-#include <sstream>
-
 #include "taskflow/taskflow.hpp"
 #include "timer/timers.hpp"
 
 namespace ot {
+
+namespace {
+
+/// Does an arc out of `pin` end at a pin flagged in `in_cone`?
+bool feeds_cone(const TimingGraph& graph, const std::vector<char>& in_cone, int pin) {
+  for (int aid : graph.fanout(pin)) {
+    if (in_cone[static_cast<std::size_t>(graph.arc(aid).to_pin)]) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 struct TimerV2::Impl {
   explicit Impl(std::shared_ptr<tf::WorkStealingExecutor> backend)
       : executor(std::move(backend)) {}
 
   tf::Executor executor;  // over the injected backend, one per timer
-  tf::Taskflow taskflow;  // rebuilt per update, reusing its arena slabs
+  tf::Taskflow taskflow;  // the last update's graph, built in reused arena slabs
+  /// True while `taskflow` holds a completely built every-pin graph, which
+  /// the next full update replays instead of rebuilding.
+  bool holds_full_graph{false};
   std::string last_dot;
 
   // Persistent scratch reused across updates (sized to the pin count once).
@@ -46,12 +62,44 @@ TimerV2::TimerV2(Netlist& netlist, const TimerOptions& options,
 
 TimerV2::~TimerV2() = default;
 
+void TimerV2::run_full() {
+  // Netlist edits made outside the timer change loads, not the graph.
+  _state.update_all_loads(*_netlist);
+  Impl& im = *_impl;
+  if (!im.holds_full_graph) {
+    const std::vector<int>& fwd = _graph.topo_order();
+    build(fwd, std::vector<int>(fwd.rbegin(), fwd.rend()));
+    im.holds_full_graph = true;
+  }
+  im.executor.run(im.taskflow).get();
+}
+
 void TimerV2::run_update(const std::vector<int>& fwd, const std::vector<int>& bwd) {
+  Impl& im = *_impl;
+  im.holds_full_graph = false;
+  build(fwd, bwd);
+  im.executor.run(im.taskflow).get();
+}
+
+void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
   Impl& im = *_impl;
   tf::Taskflow& taskflow = im.taskflow;
   taskflow.graph().recycle();
   Netlist& nl = *_netlist;
   const bool want_dot = fwd.size() + bwd.size() <= Impl::kDumpLimit;
+
+  // The cone flags vouch for this build's task handles only: clear them on
+  // every exit, so an emplace that throws part-way cannot leave a later
+  // build wiring edges through handles into a recycled graph.
+  struct ClearFlags {
+    Impl& im;
+    const std::vector<int>& fwd;
+    const std::vector<int>& bwd;
+    ~ClearFlags() {
+      for (int p : fwd) im.in_fwd[static_cast<std::size_t>(p)] = 0;
+      for (int p : bwd) im.in_bwd[static_cast<std::size_t>(p)] = 0;
+    }
+  } clear_flags{im, fwd, bwd};
 
   // Forward tasks: one per cone pin, wired along timing arcs inside the cone.
   for (int p : fwd) {
@@ -74,10 +122,13 @@ void TimerV2::run_update(const std::vector<int>& fwd, const std::vector<int>& bw
   if (!bwd.empty()) {
     // The backward pass reads arrival/slew values, so it starts after the
     // entire forward wave: a single synchronization task separates them.
+    // Only the ends of each wave touch it - a task with an in-cone
+    // successor (forward) or in-cone fan-out (backward) is already ordered
+    // against the barrier through that chain.
     tf::Task barrier = taskflow.placeholder();
     if (want_dot) barrier.name("forward/backward");
     for (int p : fwd) {
-      if (_graph.is_endpoint(p) || fanout_outside(fwd, p)) {
+      if (!feeds_cone(_graph, im.in_fwd, p)) {
         im.fwd_task[static_cast<std::size_t>(p)].precede(barrier);
       }
     }
@@ -90,34 +141,20 @@ void TimerV2::run_update(const std::vector<int>& fwd, const std::vector<int>& bw
           [this, p] { propagate_pin_backward(*_netlist, _graph, _state, p); });
       if (want_dot) task.name("bwd:" + nl.pin_name(p));
       im.bwd_task[static_cast<std::size_t>(p)] = task;
-      barrier.precede(task);
     }
     for (int p : bwd) {
+      tf::Task task = im.bwd_task[static_cast<std::size_t>(p)];
+      if (!feeds_cone(_graph, im.in_bwd, p)) barrier.precede(task);
       for (int aid : _graph.fanout(p)) {
         const int to = _graph.arc(aid).to_pin;
         if (im.in_bwd[static_cast<std::size_t>(to)]) {
-          im.bwd_task[static_cast<std::size_t>(to)].precede(
-              im.bwd_task[static_cast<std::size_t>(p)]);
+          im.bwd_task[static_cast<std::size_t>(to)].precede(task);
         }
       }
     }
   }
 
   if (want_dot) im.last_dot = taskflow.dump();
-  im.executor.run(taskflow).get();
-
-  for (int p : fwd) im.in_fwd[static_cast<std::size_t>(p)] = 0;
-  for (int p : bwd) im.in_bwd[static_cast<std::size_t>(p)] = 0;
-}
-
-bool TimerV2::fanout_outside(const std::vector<int>&, int pin) const {
-  // A forward task must reach the barrier unless some in-cone successor
-  // already transitively does; feeding only the cone's frontier (pins with
-  // any out-of-cone or zero fanout) keeps the barrier fan-in small.
-  for (int aid : _graph.fanout(pin)) {
-    if (!_impl->in_fwd[static_cast<std::size_t>(_graph.arc(aid).to_pin)]) return true;
-  }
-  return _graph.fanout(pin).empty();
 }
 
 void TimerV2::run_forward(const std::vector<int>& pins) {

@@ -9,11 +9,14 @@ TimerBase::TimerBase(Netlist& netlist, const TimerOptions& options)
     : _netlist(&netlist), _graph(netlist), _state(netlist, options), _options(options) {}
 
 void TimerBase::full_update() {
+  _last_update_tasks = 2 * _graph.num_pins();
+  run_full();
+}
+
+void TimerBase::run_full() {
   _state.update_all_loads(*_netlist);
   const std::vector<int>& fwd = _graph.topo_order();
-  std::vector<int> bwd(fwd.rbegin(), fwd.rend());
-  _last_update_tasks = fwd.size() + bwd.size();
-  run_update(fwd, bwd);
+  run_update(fwd, std::vector<int>(fwd.rbegin(), fwd.rend()));
 }
 
 void TimerBase::resize(int gate_id, const Cell& new_cell) {

@@ -5,9 +5,11 @@
 //                parallel-for, with the level-bucket data structure rebuilt
 //                on every incremental iteration (paper §IV-B: v1's overhead
 //                is dominated by reconstructing this structure).
-//  * TimerV2   - "OpenTimer v2" style: each update builds a tf::Taskflow
-//                task dependency graph over the affected cone and lets the
-//                computation flow asynchronously with the timing graph.
+//  * TimerV2   - "OpenTimer v2" style: an incremental update builds a
+//                tf::Taskflow task dependency graph over the affected cone;
+//                the every-pin graph of a full update is built once and
+//                replayed by later full updates.  Either way the computation
+//                flows asynchronously with the timing graph.
 //
 // All engines share the update algebra of TimerBase: a full update
 // propagates every pin; an incremental update (after a gate resize) fixes
@@ -60,6 +62,10 @@ class TimerBase {
   }
 
  protected:
+  /// One full update: refresh every net load, then re-propagate every pin.
+  /// The default runs run_update over the whole topological order; TimerV2
+  /// overrides it to replay the graph of its previous full update.
+  virtual void run_full();
   /// Propagate forward over `pins` (already topologically sorted).
   virtual void run_forward(const std::vector<int>& pins) = 0;
   /// Propagate backward over `pins` (already reverse-topologically sorted).
@@ -131,11 +137,12 @@ class TimerV2 final : public TimerBase {
   void run_forward(const std::vector<int>& pins) override;
   void run_backward(const std::vector<int>& pins) override;
   void run_update(const std::vector<int>& fwd, const std::vector<int>& bwd) override;
+  void run_full() override;
 
  private:
-  /// True when `pin` lies on the frontier of the forward cone (no in-cone
-  /// successor) and must therefore feed the forward/backward barrier.
-  [[nodiscard]] bool fanout_outside(const std::vector<int>& cone, int pin) const;
+  /// Rebuild the taskflow as the fused forward/backward graph of `fwd` and
+  /// `bwd`, without running it.
+  void build(const std::vector<int>& fwd, const std::vector<int>& bwd);
 
   struct Impl;
   std::unique_ptr<Impl> _impl;

@@ -1,13 +1,19 @@
 // Engine equivalence: the OpenMP-levelized v1 and the taskflow v2 engines
 // must agree with the sequential oracle on full updates and - crucially -
 // across long incremental resize sequences.
+#include "taskflow/graph.hpp"
+#include "taskflow/observer.hpp"
 #include "timer/modifier.hpp"
 #include "timer/timers.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <new>
+#include <sstream>
+#include <string>
 
 namespace {
 
@@ -177,6 +183,152 @@ TEST_F(EngineTest, V2DumpsTaskGraphOnSmallUpdates) {
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("fwd:"), std::string::npos);
   EXPECT_NE(dot.find("bwd:"), std::string::npos);
+}
+
+TEST_F(EngineTest, V2BarrierPrecedesOnlyBackwardEnds) {
+  // Every backward task with in-cone fan-out already waits on the barrier
+  // through that fan-out chain, so on a full update the barrier's only
+  // direct successors are the endpoints' backward tasks.
+  auto nl = circuit(60, 2);
+  ot::TimerV2 t(nl, opt);
+  t.full_update();
+  const auto dot = t.dump_last_task_graph();
+
+  std::string barrier_id;
+  std::size_t barrier_edges = 0;
+  std::istringstream lines(dot);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("[label=\"forward/backward\"]") != std::string::npos) {
+      barrier_id = line.substr(0, line.find(" ["));
+    } else if (!barrier_id.empty() && line.rfind(barrier_id + " -> ", 0) == 0) {
+      ++barrier_edges;
+    }
+  }
+  ASSERT_FALSE(barrier_id.empty()) << dot;
+
+  std::size_t endpoints = 0;
+  for (std::size_t p = 0; p < t.graph().num_pins(); ++p) {
+    if (t.graph().is_endpoint(static_cast<int>(p))) ++endpoints;
+  }
+  EXPECT_GT(endpoints, 0u);
+  EXPECT_EQ(barrier_edges, endpoints);
+}
+
+TEST_F(EngineTest, V2ReplayedFullUpdatesMatchReference) {
+  // Full updates replay the graph of the previous full update until an
+  // incremental update recycles it; each must match a sequential recompute,
+  // including after netlist edits made behind the timer's back.
+  auto nl = circuit(800, 29);
+  auto nl_ref = circuit(800, 29);
+  ot::TimerV2 v2(nl, opt);
+  ot::SeqTimer ref(nl_ref, opt);
+  ot::ModifierStream mods(nl, 11);
+
+  auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    ref.full_update();
+    expect_equal_state(ref, v2);
+  };
+  // The next modification on both netlists: through v2's incremental
+  // update, or by a direct netlist edit that only a full update picks up.
+  auto modify = [&](bool through_timer) {
+    const auto m = mods.next();
+    ref.netlist().resize_gate(m.gate, *m.new_cell);
+    if (through_timer) {
+      v2.resize(m.gate, *m.new_cell);
+    } else {
+      nl.resize_gate(m.gate, *m.new_cell);
+    }
+  };
+
+  v2.full_update();
+  check("first full update");
+  v2.full_update();
+  check("back-to-back replay");
+  modify(true);
+  check("resize");
+  v2.full_update();
+  check("full update after a resize");
+  modify(false);
+  v2.full_update();
+  check("replay after a direct netlist edit");
+  modify(false);
+  modify(false);
+  v2.full_update();
+  check("replay after two direct netlist edits");
+  modify(true);
+  check("second resize");
+  v2.full_update();
+  v2.full_update();
+  check("rebuild then replay");
+}
+
+TEST_F(EngineTest, V2ReplayRunsTheWholeGraph) {
+  struct CountingObserver : tf::ExecutorObserverInterface {
+    std::atomic<std::size_t> tasks{0};
+    void on_exit(std::size_t, const tf::Node&) override {
+      tasks.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  auto nl = circuit(500, 31);
+  ot::TimerV2 t(nl, opt);
+  auto counter = std::make_shared<CountingObserver>();
+  t.set_observer(counter);
+
+  t.full_update();
+  const std::size_t first = counter->tasks.exchange(0);
+  EXPECT_GE(first, 2 * nl.num_pins());
+  for (int i = 0; i < 3; ++i) {
+    t.full_update();
+    EXPECT_EQ(counter->tasks.exchange(0), first) << "replay " << i;
+  }
+}
+
+TEST_F(EngineTest, V2RecoversFromAFailedGraphBuild) {
+  // Fail each slab acquisition of a fresh timer's first update in turn,
+  // for a resize and for a full update.  A build that throws part-way must
+  // leave no cone flags behind (the next update would wire edges through
+  // stale task handles) and no half-built graph marked for replay.  Every
+  // modification is mirrored on a sequential reference.
+  const ot::CircuitSpec spec = ot::tv80_spec(0.05);
+  for (const bool full : {false, true}) {
+    bool threw = true;
+    for (long long k = 0; threw; ++k) {
+      SCOPED_TRACE(std::string(full ? "full update" : "resize") +
+                   ", failing slab acquisition " + std::to_string(k));
+      auto nl = ot::make_circuit(lib, spec);
+      auto nl_ref = ot::make_circuit(lib, spec);
+      ot::TimerV2 v2(nl, opt);
+      ot::SeqTimer ref(nl_ref, opt);
+      ot::ModifierStream mods(nl, 5);
+      auto resize = [&] {
+        const auto m = mods.next();
+        ref.netlist().resize_gate(m.gate, *m.new_cell);
+        v2.resize(m.gate, *m.new_cell);
+      };
+      auto update = [&] {
+        if (full) {
+          v2.full_update();
+        } else {
+          resize();
+        }
+      };
+
+      tf::detail::arm_alloc_failure(k);
+      try {
+        update();
+        threw = false;  // k is past the last acquisition of this update
+      } catch (const std::bad_alloc&) {
+      }
+      tf::detail::disarm_alloc_failure();
+
+      update();
+      v2.full_update();
+      for (int i = 0; i < 10; ++i) resize();
+      ref.full_update();
+      expect_equal_state(ref, v2);
+    }
+  }
 }
 
 TEST_F(EngineTest, WorstSlackQueriesAgreeAfterManyMods) {

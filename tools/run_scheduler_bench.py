@@ -25,10 +25,11 @@ Typical use:
     # committed record
     python3 tools/run_scheduler_bench.py --compare BENCH_scheduler.json
 
-    # gate the taskflow test suite under ThreadSanitizer
+    # gate the taskflow, support and service suites under ThreadSanitizer
     python3 tools/run_scheduler_bench.py --tsan
 
-    # gate it under AddressSanitizer + UBSan (leaks in the error-drain paths)
+    # gate them and the timer suite under AddressSanitizer + UBSan (leaks in
+    # the error-drain paths, use of stale task handles)
     python3 tools/run_scheduler_bench.py --asan
 
     # peak-RSS probe of the construction benches plus the service-ingest
@@ -384,34 +385,36 @@ def attach_deltas(doc, baseline):
     doc["delta_pct_vs_baseline"] = deltas
 
 
-# The sanitizer gates run the ctest labels of these test directories.
-SANITIZER_SUITES = ["taskflow", "support", "service"]
+# Each sanitizer gate runs the ctest labels of its test directories.  TSan
+# leaves out timer: TimerV1 runs on libgomp, whose uninstrumented barriers
+# TSan cannot see into.
+TSAN_SUITES = ["taskflow", "support", "service"]
+ASAN_SUITES = TSAN_SUITES + ["timer"]
 
 
-def sanitizer_test_targets():
-    """Every tests/<suite>/test_*.cpp target of SANITIZER_SUITES, derived
-    from the tree so a new suite is gated without a list to keep: a suite
-    whose target is not built registers only an unlabelled
-    <target>_NOT_BUILT entry, which the label filter would drop without a
-    message.  test_alloc is left out: its operator-new interposer cannot
-    coexist with the sanitizer runtimes, so CMake only defines it in plain
-    trees."""
+def sanitizer_test_targets(suites):
+    """Every tests/<suite>/test_*.cpp target of `suites`, derived from the
+    tree so a new test is gated without a list to keep: a suite whose
+    target is not built registers only an unlabelled <target>_NOT_BUILT
+    entry, which the label filter would drop without a message.  test_alloc
+    is left out: its operator-new interposer cannot coexist with the
+    sanitizer runtimes, so CMake only defines it in plain trees."""
     return [os.path.splitext(os.path.basename(path))[0]
-            for suite in SANITIZER_SUITES
+            for suite in suites
             for path in sorted(glob.glob(
                 os.path.join(REPO_ROOT, "tests", suite, "test_*.cpp")))
             if os.path.basename(path) != "test_alloc.cpp"]
 
 
-def run_sanitized(build_dir, cmake_flag, label):
-    """Configure a sanitizer build tree and run the taskflow suite under it."""
+def run_sanitized(build_dir, cmake_flag, label, suites):
+    """Configure a sanitizer build tree and run `suites` under it."""
     run(["cmake", "-B", build_dir, "-S", REPO_ROOT, cmake_flag],
         stdout=subprocess.DEVNULL)
     run(["cmake", "--build", build_dir, "-j", "--target"]
-        + sanitizer_test_targets())
+        + sanitizer_test_targets(suites))
     run(["ctest", "--test-dir", build_dir, "--output-on-failure", "-j2",
-         "-L", "|".join(SANITIZER_SUITES)])
-    print(f"{label}: taskflow + support + service suites clean")
+         "-L", "|".join(suites)])
+    print(f"{label}: {' + '.join(suites)} suites clean")
 
 
 def run_peak_rss(build_dir, benches):
@@ -454,11 +457,11 @@ def run_peak_rss(build_dir, benches):
 
 
 def run_tsan(tsan_dir):
-    run_sanitized(tsan_dir, "-DREPRO_TSAN=ON", "TSan")
+    run_sanitized(tsan_dir, "-DREPRO_TSAN=ON", "TSan", TSAN_SUITES)
 
 
 def run_asan(asan_dir):
-    run_sanitized(asan_dir, "-DREPRO_ASAN=ON", "ASan/UBSan")
+    run_sanitized(asan_dir, "-DREPRO_ASAN=ON", "ASan/UBSan", ASAN_SUITES)
 
 
 def compare_record(record_path, benches, build_dir, threshold):
@@ -561,12 +564,14 @@ def main():
     ap.add_argument("--skip-figures", action="store_true",
                     help="micro/ablation/hotpath only (much faster)")
     ap.add_argument("--tsan", action="store_true",
-                    help="instead of benchmarking, run the taskflow tests "
-                         "under ThreadSanitizer (separate build tree)")
+                    help="instead of benchmarking, run the taskflow, "
+                         "support and service tests under ThreadSanitizer "
+                         "(separate build tree)")
     ap.add_argument("--tsan-dir", default=os.path.join(REPO_ROOT, "build-tsan"))
     ap.add_argument("--asan", action="store_true",
-                    help="instead of benchmarking, run the taskflow tests "
-                         "under AddressSanitizer + UBSan (separate build tree)")
+                    help="instead of benchmarking, run the taskflow, "
+                         "support, service and timer tests under "
+                         "AddressSanitizer + UBSan (separate build tree)")
     ap.add_argument("--asan-dir", default=os.path.join(REPO_ROOT, "build-asan"))
     ap.add_argument("--compare", metavar="BENCH_scheduler.json",
                     help="instead of recording, re-run the hot-path benches "
