@@ -210,7 +210,7 @@ Server::~Server() {
 }
 
 ServerClient& Server::connect() {
-  std::scoped_lock lock(_clients_mutex);
+  std::scoped_lock lock(_connect_mutex);
   // Decorrelate per-client chaos streams from one configured seed.
   const std::uint64_t seed =
       _options.chaos.seed ^

@@ -222,7 +222,7 @@ class Server {
   Executor _executor;
   MetricsRegistry _registry;
 
-  std::mutex _clients_mutex;
+  std::mutex _connect_mutex;  // guards _clients
   std::deque<std::unique_ptr<ServerClient>> _clients;
 };
 

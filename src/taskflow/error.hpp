@@ -23,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace tf {
 
@@ -106,10 +107,10 @@ struct ErrorState {
   std::atomic<bool> timed_out{false};
 
   /// Publication protocol for `exception`: 0 = empty, 1 = a winner is
-  /// writing, 2 = stored.  A task always captures *before* it retires, and
-  /// the final retire_one() synchronizes with every earlier one (acq_rel
-  /// RMW chain), so state 2 is visible to whichever task fulfils the
-  /// completion promise.
+  /// writing, 2 = stored, 3 = closed empty (see close()).  A task always
+  /// captures *before* it retires, and the final retire_one() synchronizes
+  /// with every earlier one (acq_rel RMW chain), so state 2 is visible to
+  /// whichever task fulfils the completion promise.
   std::atomic<int> exception_phase{0};
   std::exception_ptr exception;
 
@@ -120,17 +121,32 @@ struct ErrorState {
   void cancel() noexcept { cancelled.store(true, std::memory_order_release); }
 
   /// First-writer-wins capture; every caller (winner or not) also flips the
-  /// topology into draining mode.  Returns true for the winner.
-  bool capture(std::exception_ptr e) noexcept {
+  /// topology into draining mode.  Returns true for the winner (never after
+  /// close()).  A winning `timeout` sets timed_out before publishing.
+  bool capture(std::exception_ptr e, bool timeout = false) noexcept {
     int expected = 0;
     const bool won =
         exception_phase.compare_exchange_strong(expected, 1, std::memory_order_acq_rel);
     if (won) {
+      if (timeout) timed_out.store(true, std::memory_order_release);
       exception = std::move(e);
       exception_phase.store(2, std::memory_order_release);
     }
     cancelled.store(true, std::memory_order_release);
     return won;
+  }
+
+  /// End the capture window at completion - a later deadline or shed loses
+  /// - and return the stored exception (nullptr when none).  A writer
+  /// caught mid-capture is a few instructions from publishing: wait it out.
+  std::exception_ptr close() noexcept {
+    int phase = 0;
+    while (!exception_phase.compare_exchange_weak(phase, 3, std::memory_order_acq_rel)) {
+      if (phase >= 2) return phase == 2 ? exception : nullptr;
+      phase = 0;  // a writer mid-capture (or a spurious failure): retry
+      std::this_thread::yield();
+    }
+    return nullptr;
   }
 
   /// The stored exception, or nullptr when none was (fully) captured.
@@ -143,11 +159,8 @@ struct ErrorState {
   /// exactly one stored error) and mark the state timed out.  Returns true
   /// when the timeout won the capture race.
   bool expire(const std::string& what) noexcept {
-    const bool won = capture(std::make_exception_ptr(TimeoutError(what)));
-    // Flag only the winner: when a task exception beat the timeout, get()
-    // rethrows that exception and timed_out() must not claim otherwise.
-    if (won) timed_out.store(true, std::memory_order_release);
-    return won;
+    // Only a winner is flagged: timed_out() must not contradict get().
+    return capture(std::make_exception_ptr(TimeoutError(what)), /*timeout=*/true);
   }
 
   /// Re-initialize for reuse (recycled Executor::async run boxes).  Only

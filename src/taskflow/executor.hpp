@@ -31,7 +31,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -81,6 +80,28 @@ class ReadyBatch {
   std::array<Node*, kInline> _inline{};
   std::size_t _size{0};
   std::vector<Node*> _spill;
+};
+
+/// FIFO of ready nodes in a vector that keeps its capacity, so a warm
+/// scheduler queues without touching the heap (a std::deque frees and
+/// reallocates a block every 64 entries).
+class NodeFifo {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return _head == _nodes.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return _nodes.size() - _head; }
+  [[nodiscard]] Node* front() const noexcept { return _nodes[_head]; }
+  void push_back(Node* node) { _nodes.push_back(node); }
+  void pop_front() noexcept {
+    // Drop the consumed prefix once it is half the vector: O(1) amortized.
+    if (++_head * 2 >= _nodes.size()) {
+      _nodes.erase(_nodes.begin(), _nodes.begin() + static_cast<std::ptrdiff_t>(_head));
+      _head = 0;
+    }
+  }
+
+ private:
+  std::vector<Node*> _nodes;
+  std::size_t _head{0};
 };
 
 }  // namespace detail
@@ -318,7 +339,7 @@ class WorkStealingExecutor final : public ExecutorInterface {
   std::vector<std::thread> _threads;
 
   mutable std::mutex _mutex;          // guards _central, _idlers, _stop
-  std::deque<Node*> _central;         // overflow queue for external submitters
+  detail::NodeFifo _central;          // overflow queue for external submitters
   std::vector<Worker*> _idlers;       // parked workers (Algorithm 1 line 8)
   bool _stop{false};
   std::atomic<int> _num_idlers{0};
@@ -353,7 +374,7 @@ class SimpleExecutor final : public ExecutorInterface {
 
   mutable std::mutex _mutex;
   std::condition_variable _cv;
-  std::deque<Node*> _queue;
+  detail::NodeFifo _queue;
   bool _stop{false};
   std::vector<std::thread> _threads;
 };

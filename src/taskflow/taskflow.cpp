@@ -238,21 +238,17 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
   }
 
   // Phase 2: every step that can throw (allocation, the cycle check, the
-  // first timer start) runs before the push that makes the run visible,
-  // inside one rollback: a failed submission leaves no admission charge,
-  // timer, ring entry or empty client queue behind.
-  const bool slot_free = !_admission_active ||
-                         _options.max_concurrent_topologies == 0 ||
-                         _adm_started < _options.max_concurrent_topologies;
+  // first timer start, the ready-ring push) runs before the push that makes
+  // the run visible, inside one rollback: a failed submission leaves no
+  // admission charge, timer or ring entry behind.
+  detail::RunQueue& queue = *taskflow._queue;
   std::shared_ptr<Topology> topology;
-  std::shared_ptr<ClientQueue> cq;
   std::unique_lock<std::mutex> queue_lock;
-  bool head = false;
-  bool ringed = false;
+  bool start_now = false;
   try {
     topology = std::make_shared<Topology>(&taskflow.graph());
     topology->_client = this;
-    topology->_kind = Topology::RunKind::queued;
+    topology->_queue = taskflow._queue;
     topology->_remaining = n;
     topology->_stop_pred = std::move(stop);
     topology->_priority = band;
@@ -262,27 +258,13 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       topology->_breaker_probe = claimed_probe;
     }
 
-    // Find-or-create the client's run queue and lock it under the registry
-    // lock (registry, then queue - the global lock order): releasing the
-    // registry lock before the push would let a concurrent drain erase the
-    // queue and a concurrent submit create a second one, breaking
-    // same-taskflow FIFO serialization.
-    {
-      std::scoped_lock clients_lock(_clients_mutex);
-      auto it = _clients.find(&taskflow);
-      if (it == _clients.end()) {
-        it = _clients.emplace(&taskflow, std::make_shared<ClientQueue>(&taskflow))
-                 .first;
-      }
-      cq = it->second;
-      queue_lock = std::unique_lock(cq->mutex);
-    }
-
-    head = cq->queue.empty();
-    // An empty queue means nothing of this taskflow is queued or in flight,
-    // so the cycle check (which scratches the graph's join counters) cannot
-    // race task execution.  Queued resubmissions skip the re-check: the
-    // graph is immutable while runs are in flight, so its verdict holds.
+    queue_lock = std::unique_lock(queue.mutex);
+    const bool head = queue.empty();
+    // An empty queue means no run of this taskflow is queued or in flight on
+    // any executor, so the cycle check (which scratches the graph's join
+    // counters) cannot race task execution.  Queued resubmissions skip the
+    // re-check: the graph is immutable while runs are in flight, so its
+    // verdict holds.
     if (head) throw_if_cyclic(taskflow.graph(), "run");
     register_live(topology);
     // Arm the deadline before the queue lock is released: the completion
@@ -290,18 +272,14 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     // timer-id write can never race it.  The budget starts now - FIFO queue
     // time counts.
     if (policy.timeout.count() > 0) arm_deadline(*topology, policy);
-    if (_admission_active) {
-      // Make room for phase 3's shed-stack push and do its ring push here
-      // (undone below), so nothing after the queue push allocates.
+    if (_admission_active && _options.shed_watermark > 0) {
+      // Make room for phase 3's shed-stack push, so nothing after the queue
+      // push allocates.
       auto& stack = _adm_shed_stack[band];
-      if (_options.shed_watermark > 0 && stack.size() == stack.capacity()) {
-        stack.reserve(2 * stack.size() + 16);
-      }
-      if (head && !slot_free) ringed = ring_push_locked(cq, band);
+      if (stack.size() == stack.capacity()) stack.reserve(2 * stack.size() + 16);
     }
-    topology->_client_tag = cq.get();
-    topology->_client_hold = cq;  // the queue outlives every run it holds
-    cq->queue.push_back(topology);
+    if (head) start_now = take_head_locked(topology);
+    queue.push(topology);
   } catch (...) {
     if (queue_lock.owns_lock()) queue_lock.unlock();
     if (topology != nullptr) {
@@ -311,23 +289,9 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       topology->finish();
     }
     if (_admission_active) {
-      if (ringed) {
-        _adm_ready[band].pop_back();
-        cq->in_ring = false;
-      }
       unadmit_locked(taskflow, claimed_probe);
       _adm_cv.notify_all();
       adm.unlock();
-    }
-    if (cq != nullptr) {
-      // Drop the (empty) queue we may have just registered, re-checking
-      // under both locks: a concurrent submit may have pushed meanwhile.
-      std::scoped_lock relock(_clients_mutex);
-      auto it = _clients.find(&taskflow);
-      if (it != _clients.end() && it->second == cq) {
-        std::scoped_lock requeue(cq->mutex);
-        if (cq->queue.empty()) _clients.erase(it);
-      }
     }
     throw;
   }
@@ -338,19 +302,14 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
 
   if (!_admission_active) {
     // The zero-policy hot path: byte-for-byte the pre-admission behavior.
-    if (head) start(*topology);
+    if (start_now) start(*topology);
     return topology;
   }
 
-  // Phase 3: start / shed decisions, still under the admission lock.
+  // Phase 3: shed decisions, still under the admission lock.
   _adm_admitted.fetch_add(1, std::memory_order_relaxed);
-  const bool start_now = head && slot_free;
-  if (start_now) {
-    ++_adm_started;
-    topology->_admit = Topology::AdmitState::started;
-  }
   std::vector<std::shared_ptr<Topology>> shed_victims;
-  std::vector<std::shared_ptr<ClientQueue>> emptied;
+  std::vector<std::shared_ptr<Topology>> heads;
   if (_options.shed_watermark > 0) {
     // Track the run as a shed candidate (lowest band pops first, newest
     // first within a band), pruning entries of finished/started runs once
@@ -366,14 +325,14 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       }
     }
     if (_adm_pending > _options.shed_watermark) {
-      shed_to_watermark_locked(shed_victims, emptied);
+      shed_to_watermark_locked(shed_victims, heads);
     }
   }
   adm.unlock();
 
   if (start_now) start(*topology);
   for (auto& victim : shed_victims) finish_shed(victim);
-  for (auto& empty_cq : emptied) release_client(empty_cq.get());
+  for (auto& head : heads) owner_of(*head).take_head(head);
   return topology;
 }
 
@@ -442,74 +401,68 @@ void Executor::unadmit_locked(const Taskflow& taskflow, bool claimed_probe) {
   if (_adm_pending > 0) --_adm_pending;
 }
 
-bool Executor::ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band) {
-  if (cq->in_ring) return false;
-  _adm_ready[band].push_back(cq);
-  cq->in_ring = true;
-  return true;
-}
-
 void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start) {
   const std::size_t limit = _options.max_concurrent_topologies;
-  if (limit == 0) return;
-  bool rescan = true;
-  while (rescan && _adm_started < limit) {
-  rescan = false;
   for (int band = kNumPriorities - 1; band >= 0 && _adm_started < limit; --band) {
     auto& ring = _adm_ready[band];
     std::size_t fruitless = 0;  // consecutive visits that dispatched nothing
     while (_adm_started < limit && !ring.empty()) {
-      std::shared_ptr<ClientQueue> cq = ring.front();
-      std::shared_ptr<Topology> head;
-      {
-        std::scoped_lock queue_lock(cq->mutex);
-        if (!cq->queue.empty()) head = cq->queue.front();
-      }
-      if (head == nullptr || head->_admit != Topology::AdmitState::queued) {
-        // Stale entry: the head was shed and the queue drained meanwhile.
-        ring.pop_front();
-        cq->in_ring = false;
-        continue;
-      }
-      if (head->_priority != band) {
-        // The client's head changed band since it was ringed (e.g. its old
-        // head was shed): re-home it.  An upward re-home lands in a band
-        // this scan already passed - without a rescan the client would be
-        // stranded until the next completion, which may never come when
-        // nothing else is running.
-        ring.pop_front();
-        _adm_ready[head->_priority].push_back(cq);
-        if (head->_priority > band) rescan = true;
-        continue;
-      }
-      if (cq->deficit < head->_cost) {
-        cq->deficit += _options.fairness_quantum;
-        if (cq->deficit < head->_cost) {
+      Topology& head = *ring.front();
+      std::size_t& deficit = _adm_clients.at(head._queue->owner).deficit;  // pending
+      if (deficit < head._cost) {
+        deficit += _options.fairness_quantum;
+        if (deficit < head._cost) {
           if (++fruitless < ring.size()) {
+            ring.push_back(std::move(ring.front()));  // rotate: cheaper heads go first
             ring.pop_front();
-            ring.push_back(cq);  // rotate: cheaper heads go first
             continue;
           }
           // A full fruitless lap: force progress - work conservation beats
           // idling the slot because every queued head is "too expensive".
-          cq->deficit = head->_cost;
+          deficit = head._cost;
         }
       }
-      cq->deficit -= head->_cost;
-      ring.pop_front();
-      cq->in_ring = false;
-      head->_admit = Topology::AdmitState::started;
+      deficit -= head._cost;
+      head._admit = Topology::AdmitState::started;
       ++_adm_started;
-      to_start.push_back(std::move(head));
+      to_start.push_back(std::move(ring.front()));
+      ring.pop_front();
       fruitless = 0;
     }
   }
-  }
 }
 
-void Executor::shed_to_watermark_locked(
-    std::vector<std::shared_ptr<Topology>>& victims,
-    std::vector<std::shared_ptr<ClientQueue>>& emptied) {
+bool Executor::take_head_locked(const std::shared_ptr<Topology>& head) {
+  if (!_admission_active) return true;
+  if (head->_admit != Topology::AdmitState::queued) return false;  // shed meanwhile
+  const std::size_t limit = _options.max_concurrent_topologies;
+  const bool others_wait = std::any_of(std::begin(_adm_ready), std::end(_adm_ready),
+                                       [](const auto& ring) { return !ring.empty(); });
+  if (limit == 0 || (_adm_started < limit && !others_wait)) {
+    ++_adm_started;
+    head->_admit = Topology::AdmitState::started;
+    return true;
+  }
+  // A contended slot goes through the DRR / priority arbiter
+  // (dispatch_ready_locked): a direct start would let a deep-queued hot
+  // client monopolize the slot its previous run just freed.
+  _adm_ready[head->_priority].push_back(head);
+  return false;
+}
+
+void Executor::take_head(const std::shared_ptr<Topology>& head) {
+  std::unique_lock adm = _admission_active ? std::unique_lock(_adm_mutex)
+                                           : std::unique_lock<std::mutex>();
+  if (!take_head_locked(head)) return;
+  if (adm.owns_lock()) adm.unlock();
+  // Once started, the run may finish and this executor be destroyed before
+  // schedule_batch returns: the backend must outlive the call.
+  const std::shared_ptr<ExecutorInterface> backend = _backend;
+  start(*head);
+}
+
+void Executor::shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims,
+                                        std::vector<std::shared_ptr<Topology>>& heads) {
   while (_adm_pending > _options.shed_watermark) {
     std::shared_ptr<Topology> victim;
     for (int band = 0; band < kNumPriorities && victim == nullptr; ++band) {
@@ -524,45 +477,30 @@ void Executor::shed_to_watermark_locked(
       }
     }
     if (victim == nullptr) break;  // everything pending has already started
-    auto* vcq = static_cast<ClientQueue*>(victim->_client_tag);
-    bool now_empty = false;
+    detail::RunQueue& queue = *victim->_queue;
+    bool was_head = false;
     {
-      std::scoped_lock queue_lock(vcq->mutex);
-      // The newest run of a band sits at/near its deque's back (cross-band
-      // interleaving of one client can offset it): scan from the back.
-      for (auto it = vcq->queue.rbegin(); it != vcq->queue.rend(); ++it) {
-        if (it->get() == victim.get()) {
-          vcq->queue.erase(std::next(it).base());
-          break;
-        }
+      std::scoped_lock queue_lock(queue.mutex);
+      was_head = queue.erase(*victim);
+      // The run behind a shed head becomes the head: hand it on.
+      if (was_head && !queue.empty()) heads.push_back(queue.head);
+    }
+    if (was_head) {
+      // A head waiting for a slot leaves its ring (one mid-hand-over is in
+      // none).
+      auto& ring = _adm_ready[victim->_priority];
+      if (auto pos = std::find(ring.begin(), ring.end(), victim); pos != ring.end()) {
+        ring.erase(pos);
       }
-      now_empty = vcq->queue.empty();
     }
     victim->_admit = Topology::AdmitState::shed;
     --_adm_pending;
-    auto it = _adm_clients.find(vcq->owner);
+    auto it = _adm_clients.find(queue.owner);
     if (it != _adm_clients.end() && it->second.pending > 0) --it->second.pending;
     if (victim->_breaker_probe) {
       // A shed probe must not wedge the breaker half-open forever.
       victim->_breaker_probe = false;
       if (it != _adm_clients.end()) it->second.probe_in_flight = false;
-    }
-    if (now_empty && vcq->in_ring) {
-      // The emptied client's stale ring entry would suppress its next
-      // head submission's ring push (in_ring short-circuit): drop it now.
-      for (auto& ring : _adm_ready) {
-        auto pos = std::find_if(
-            ring.begin(), ring.end(),
-            [vcq](const std::shared_ptr<ClientQueue>& p) { return p.get() == vcq; });
-        if (pos != ring.end()) {
-          ring.erase(pos);
-          break;
-        }
-      }
-      vcq->in_ring = false;
-    }
-    if (now_empty) {
-      emptied.push_back(std::static_pointer_cast<ClientQueue>(victim->_client_hold));
     }
     victims.push_back(std::move(victim));
   }
@@ -626,7 +564,6 @@ void Executor::submit_async(StaticWork&& work) {
   Node& node = box->graph.emplace_back();
   node._work.emplace<StaticWork>(std::move(work));
   box->topology._client = this;
-  box->topology._kind = Topology::RunKind::async;
   box->topology._client_tag = box;
   _num_asyncs.fetch_add(1, std::memory_order_relaxed);
   start(box->topology);
@@ -662,7 +599,7 @@ void Executor::on_topology_done(Topology& topology) {
   // a few instructions before the last promise is set; the stronger
   // "every handle is ready" guarantee is provided only by shutdown() /
   // the destructor, which wait on the futures themselves via _live.
-  if (topology._kind == Topology::RunKind::async) {
+  if (topology._queue == nullptr) {  // an async run
     // The user-visible promise lives in the task callable (already
     // fulfilled), so the box can be recycled: destroy the node (and its
     // captured state) but keep the arena slab, and reset the shared error
@@ -691,38 +628,30 @@ void Executor::on_topology_done(Topology& topology) {
     return;
   }
 
-  // Final repeat done: pop from the client FIFO and hand the worker pool to
-  // the next pending run of this taskflow, if any.
-  auto* cq = static_cast<ClientQueue*>(topology._client_tag);
+  // Final repeat done: pop from the taskflow's queue and hand the queue to
+  // the run behind, if any, on the executor that submitted it.
+  detail::RunQueue& queue = *topology._queue;
   std::shared_ptr<Topology> self;  // keeps the topology alive through finish()
   std::shared_ptr<Topology> next;
-  bool drained = false;
   {
-    std::scoped_lock lock(cq->mutex);
-    self = std::move(cq->queue.front());
-    cq->queue.pop_front();
-    if (cq->queue.empty()) {
-      drained = true;
-    } else {
-      next = cq->queue.front();
-    }
+    std::scoped_lock lock(queue.mutex);
+    self = queue.pop();
+    next = queue.head;
   }
   disarm_deadline(*self);  // a finished run's timer must not pin its state
-  if (!_admission_active) {
-    if (next != nullptr) start(*next);
-    if (drained) release_client(cq);
-  } else {
+  const bool mine = next != nullptr && &owner_of(*next) == this;
+  if (_admission_active) {
     // Admission bookkeeping: free the pending + concurrency slots, update
     // the breaker, and refill free slots from the ready rings.  The queue
     // lock is already released (lock order: _adm_mutex never nests inside
-    // a ClientQueue mutex), and start() runs outside the admission lock.
+    // a RunQueue mutex), and start() runs outside the admission lock.
     std::vector<std::shared_ptr<Topology>> to_start;
     {
       std::scoped_lock adm(_adm_mutex);
       if (_adm_pending > 0) --_adm_pending;
       if (_adm_started > 0) --_adm_started;
-      if (_options.breaker_threshold > 0) breaker_update_locked(cq->owner, *self);
-      auto it = _adm_clients.find(cq->owner);
+      if (_options.breaker_threshold > 0) breaker_update_locked(queue.owner, *self);
+      auto it = _adm_clients.find(queue.owner);
       if (it != _adm_clients.end()) {
         if (it->second.pending > 0) --it->second.pending;
         // GC trivial entries so the map tracks active clients and open /
@@ -733,36 +662,15 @@ void Executor::on_topology_done(Topology& topology) {
           _adm_clients.erase(it);
         }
       }
-      if (next != nullptr && next->_admit != Topology::AdmitState::queued) {
-        // The front we captured at pop time was shed before we reached this
-        // lock (the shed erased it from the queue): chain to the current
-        // front instead - starting the captured one would finish it twice.
-        std::scoped_lock requeue(cq->mutex);
-        next = cq->queue.empty() ? nullptr : cq->queue.front();
-        if (next != nullptr && next->_admit != Topology::AdmitState::queued) {
-          next = nullptr;
-        }
-      }
-      if (next != nullptr) {
-        if (_options.max_concurrent_topologies == 0) {
-          ++_adm_started;
-          next->_admit = Topology::AdmitState::started;
-          to_start.push_back(next);
-        } else {
-          // With a concurrency cap the freed slot is contended: route the
-          // same-client continuation through the ready ring so the DRR /
-          // priority arbiter picks the next run - direct continuation would
-          // let a deep-queued hot client monopolize the slot it just freed.
-          ring_push_locked(std::static_pointer_cast<ClientQueue>(self->_client_hold),
-                           next->_priority);
-        }
-      }
+      if (mine && take_head_locked(next)) to_start.push_back(next);
       dispatch_ready_locked(to_start);
       _adm_cv.notify_all();  // a pending slot freed: wake blocked submitters
     }
     for (auto& t : to_start) start(*t);
-    if (drained) release_client(cq);
   }
+  // Without admission control, or to another executor, the hand-over holds
+  // none of our locks.
+  if (next != nullptr && (!mine || !_admission_active)) owner_of(*next).take_head(next);
   {
     std::scoped_lock lock(_done_mutex);
     _num_topologies.fetch_sub(1, std::memory_order_relaxed);
@@ -808,23 +716,6 @@ void Executor::disarm_deadline(Topology& topology) {
   if (!topology._deadline_timer) return;
   _backend->timers().cancel(topology._deadline_timer);
   topology._deadline_timer = {};
-}
-
-void Executor::release_client(ClientQueue* cq) {
-  // Destroy the registry entry only outside both locks (`hold` outlives the
-  // scope), and only when the queue is still drained: a concurrent submit
-  // may have pushed - and holds the registry lock across find+push - so the
-  // re-check under both locks is authoritative.
-  std::shared_ptr<ClientQueue> hold;
-  {
-    std::scoped_lock clients_lock(_clients_mutex);
-    auto it = _clients.find(cq->owner);
-    if (it == _clients.end() || it->second.get() != cq) return;
-    std::scoped_lock queue_lock(cq->mutex);
-    if (!cq->queue.empty()) return;
-    hold = std::move(it->second);
-    _clients.erase(it);
-  }
 }
 
 void Executor::wait_for_all() {
@@ -964,64 +855,74 @@ void Executor::dump_state(std::ostream& os) const {
               .count()
        << " ms (" << samples[i].completed << " task(s) completed)\n";
   }
-  std::scoped_lock clients_lock(_clients_mutex);
-  for (const auto& [owner, cq] : _clients) {
-    std::scoped_lock queue_lock(cq->mutex);
-    os << "client " << owner << ": " << cq->queue.size() << " queued run(s)";
-    if (!cq->queue.empty()) {
-      // Front = the run in flight.  num_active() is an atomic snapshot, so
-      // this stays race-free while the graph executes (unlike a recursive
-      // graph-size walk, which would chase subflow pointers mid-spawn).
-      const auto& front = cq->queue.front();
-      os << "; running: " << front->num_active()
-         << " in-flight task execution(s)";
-      // Resilience policies and node kinds of the running graph: top-level
-      // nodes only (the list is immutable during the run; subflows are not
-      // chased mid-spawn).  Condition nodes report their last-returned
-      // branch index (-1 = not yet taken), which is what makes a stuck
-      // in-graph loop diagnosable: a loop that stopped converging shows the
-      // same branch lap after lap.
-      std::size_t with_policy = 0;
-      int failed_attempts = 0;
-      std::size_t modules = 0;
-      std::size_t node_index = 0;
-      std::string conditions;
-      for (const auto& node : front->graph()) {
-        if (const auto* pol = node.resilience()) {
-          ++with_policy;
-          failed_attempts += pol->failed_attempts.load(std::memory_order_relaxed);
-        }
-        if (node.is_module()) ++modules;
-        if (node.is_condition()) {
-          if (!conditions.empty()) conditions += ", ";
-          conditions += node.name().empty() ? "task#" + std::to_string(node_index)
-                                            : "\"" + node.name() + "\"";
-          conditions += " last_branch=" + std::to_string(node.last_branch());
-        }
-        ++node_index;
+  // One line per client: each distinct run queue of the pinned live runs.
+  std::vector<std::shared_ptr<Topology>> live;
+  {
+    std::scoped_lock lock(_live_mutex);
+    for (const auto& [ptr, weak] : _live) {
+      if (auto topology = weak.lock()) live.push_back(std::move(topology));
+    }
+  }
+  std::vector<detail::RunQueue*> queues;
+  for (const auto& topology : live) queues.push_back(topology->_queue.get());
+  std::sort(queues.begin(), queues.end());
+  queues.erase(std::unique(queues.begin(), queues.end()), queues.end());
+  for (detail::RunQueue* queue : queues) {
+    std::scoped_lock queue_lock(queue->mutex);
+    if (queue->empty()) continue;  // drained: no longer a client
+    os << "client " << queue->owner << ": " << queue->size() << " queued run(s)";
+    // Front = the run in flight.  num_active() is an atomic snapshot, so
+    // this stays race-free while the graph executes (unlike a recursive
+    // graph-size walk, which would chase subflow pointers mid-spawn).
+    const auto& front = queue->head;
+    os << "; running: " << front->num_active()
+       << " in-flight task execution(s)";
+    // Resilience policies and node kinds of the running graph: top-level
+    // nodes only (the list is immutable during the run; subflows are not
+    // chased mid-spawn).  Condition nodes report their last-returned
+    // branch index (-1 = not yet taken), which is what makes a stuck
+    // in-graph loop diagnosable: a loop that stopped converging shows the
+    // same branch lap after lap.
+    std::size_t with_policy = 0;
+    int failed_attempts = 0;
+    std::size_t modules = 0;
+    std::size_t node_index = 0;
+    std::string conditions;
+    for (const auto& node : front->graph()) {
+      if (const auto* pol = node.resilience()) {
+        ++with_policy;
+        failed_attempts += pol->failed_attempts.load(std::memory_order_relaxed);
       }
-      if (with_policy > 0) {
-        os << "; " << with_policy << " task(s) with retry/fallback policies ("
-           << failed_attempts << " failed attempt(s) so far)";
+      if (node.is_module()) ++modules;
+      if (node.is_condition()) {
+        if (!conditions.empty()) conditions += ", ";
+        conditions += node.name().empty() ? "task#" + std::to_string(node_index)
+                                          : "\"" + node.name() + "\"";
+        conditions += " last_branch=" + std::to_string(node.last_branch());
       }
-      if (modules > 0) os << "; " << modules << " module task(s)";
-      if (!conditions.empty()) os << "; condition(s): " << conditions;
-      detail::ErrorState* state = front->error_state();
-      if (auto d = state->deadline()) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(*d - now);
-        if (remaining.count() >= 0) {
-          os << " [deadline in " << remaining.count() << " ms]";
-        } else if (!state->draining()) {
-          os << " [deadline exceeded " << -remaining.count() << " ms ago]";
-        }
+      ++node_index;
+    }
+    if (with_policy > 0) {
+      os << "; " << with_policy << " task(s) with retry/fallback policies ("
+         << failed_attempts << " failed attempt(s) so far)";
+    }
+    if (modules > 0) os << "; " << modules << " module task(s)";
+    if (!conditions.empty()) os << "; condition(s): " << conditions;
+    detail::ErrorState* state = front->error_state();
+    if (auto d = state->deadline()) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(*d - now);
+      if (remaining.count() >= 0) {
+        os << " [deadline in " << remaining.count() << " ms]";
+      } else if (!state->draining()) {
+        os << " [deadline exceeded " << -remaining.count() << " ms ago]";
       }
-      if (front->is_cancelled()) {
-        os << (state->timed_out.load(std::memory_order_relaxed)
-                   ? " [draining: deadline exceeded]"
-               : front->exception() ? " [draining: task exception]"
-                                    : " [draining: cancelled]");
-      }
+    }
+    if (front->is_cancelled()) {
+      os << (state->timed_out.load(std::memory_order_relaxed)
+                 ? " [draining: deadline exceeded]"
+             : front->exception() ? " [draining: task exception]"
+                                  : " [draining: cancelled]");
     }
     os << "\n";
   }
@@ -1127,6 +1028,11 @@ void Taskflow::release_dispatched() {
   std::exception_ptr first;
   for (const auto& d : _dispatched) {
     if (!first) first = d.handle.exception();
+  }
+  if (!_dispatched.empty() && detail::GraphOwner::graph.empty()) {
+    // Keep the last box's graph storage: the next build reuses it in place.
+    detail::GraphOwner::graph = std::move(_dispatched.back().box->graph());
+    detail::GraphOwner::graph.recycle();
   }
   _dispatched.clear();
   if (first) std::rethrow_exception(first);

@@ -25,9 +25,10 @@
 //    ExecutorInterface backends, paper §III-E) and is safe to share across
 //    many client threads: run/run_n/run_until/async may be called
 //    concurrently from any thread;
-//  * runs of the *same* taskflow are serialized through a per-taskflow FIFO
-//    topology queue (a queued run starts when its predecessor finishes);
-//    runs of *distinct* taskflows execute concurrently;
+//  * runs of the *same* taskflow are serialized through the taskflow's own
+//    FIFO run queue, whichever executor submitted them (a queued run starts
+//    on its own executor when its predecessor finishes); runs of *distinct*
+//    taskflows execute concurrently;
 //  * a taskflow must outlive its submitted runs and must not be mutated
 //    while runs are queued or in flight (use handle.get() / wait_for_all()
 //    to quiesce before rebuilding).
@@ -200,10 +201,14 @@ class Taskflow : private detail::GraphOwner, public FlowBuilder {
   /// exception (in dispatch order).  Callers have waited for all of them.
   void release_dispatched();
 
+  friend class Executor;  // queues runs in _queue
+
   std::size_t _legacy_workers;  // worker count of the lazy private executor
   mutable std::mutex _legacy_mutex;
   mutable std::shared_ptr<Executor> _legacy;
   std::vector<Dispatched> _dispatched;  // in dispatch order
+  // The FIFO of this taskflow's runs, across every executor that runs it.
+  std::shared_ptr<detail::RunQueue> _queue{std::make_shared<detail::RunQueue>(this)};
 };
 
 /// How Executor::run behaves when admission control is at capacity
@@ -271,7 +276,7 @@ struct ExecutorOptions {
   std::size_t shed_watermark{0};
 
   /// Bound on topologies *started* on the worker pool at once.  Admitted
-  /// runs above it wait in their client queues and are dispatched by
+  /// runs above it wait in their taskflows' run queues and are dispatched by
   /// deficit round-robin over clients within strict priority bands, so one
   /// hot client cannot starve the others.  0 = start at queue head
   /// immediately (the PR 3 behavior; fairness and priority are then inert).
@@ -320,9 +325,10 @@ struct WatchdogOptions {
 /// graph runs and async tasks from many client threads concurrently.
 ///
 /// Thread safety: every public member may be called from any thread at any
-/// time.  Runs of one Taskflow are serialized in submission (FIFO) order;
-/// runs of distinct Taskflows and async tasks interleave freely on the
-/// shared worker pool.  The executor must outlive all submitted work; the
+/// time.  Runs of one Taskflow are serialized in submission (FIFO) order,
+/// also across executors (the queue belongs to the taskflow); runs of
+/// distinct Taskflows and async tasks interleave freely on the shared
+/// worker pool.  The executor must outlive all submitted work; the
 /// destructor blocks until everything drained (without rethrowing - task
 /// errors stay observable through the per-run handles).
 class Executor : private detail::TopologyClient {
@@ -352,8 +358,8 @@ class Executor : private detail::TopologyClient {
   /// becomes ready when the run - including dynamically spawned subflow
   /// tasks - completes; the first task exception rethrows from get().
   /// Throws tf::CycleError when the graph is cyclic (checked when no run of
-  /// this taskflow is pending; queued resubmissions of the same - immutable
-  /// while in flight - graph skip the re-check).
+  /// this taskflow is pending on any executor; queued resubmissions of the
+  /// same - immutable while in flight - graph skip the re-check).
   ExecutionHandle run(Taskflow& taskflow);
 
   /// Run `taskflow` `n` times back-to-back (non-blocking).  The handle
@@ -569,25 +575,10 @@ class Executor : private detail::TopologyClient {
   }
 
  private:
-  /// Per-client FIFO of pending runs; front = the run in flight.  Owned by
-  /// the executor (keyed by client address) and kept alive by every queued
-  /// topology, so tear-down never races client destruction.  The deficit /
-  /// in_ring fields belong to the admission layer and are touched only
-  /// under _adm_mutex.
-  struct ClientQueue {
-    explicit ClientQueue(const Taskflow* o) : owner(o) {}
-    const Taskflow* owner;
-    std::mutex mutex;
-    std::deque<std::shared_ptr<Topology>> queue;
-    std::size_t deficit{0};  // deficit-round-robin credit, in node units
-    bool in_ring{false};     // member of exactly one _adm_ready ring
-  };
-
-  /// Per-taskflow admission state, under _adm_mutex.  Separate from
-  /// ClientQueue because it must survive queue teardown: a breaker stays
-  /// open across idle periods in which the registry drops the drained queue.
+  /// Per-taskflow admission state of this executor, under _adm_mutex.
   struct AdmissionClient {
     std::size_t pending{0};  // admitted, not yet finished/shed
+    std::size_t deficit{0};  // deficit-round-robin credit, in node units
     int consecutive_failures{0};
     enum class Breaker : unsigned char { closed, open, half_open } breaker{
         Breaker::closed};
@@ -606,7 +597,7 @@ class Executor : private detail::TopologyClient {
 
   /// Enqueue a (n, stop)-repeat run of `taskflow`; nullptr when there is
   /// nothing to do (empty graph or n == 0).  Starts it immediately when the
-  /// client's queue was empty (and, under admission control, a concurrency
+  /// taskflow's queue was empty (and, under admission control, a concurrency
   /// slot is free).  A non-zero `policy.timeout` arms a deadline timer on
   /// the backend's timer queue.  A throw after admission (cycle check,
   /// allocation failure) rolls the submission back: the run is never queued
@@ -635,9 +626,10 @@ class Executor : private detail::TopologyClient {
   /// Shed admitted-but-unstarted runs (lowest band first, newest first
   /// within a band) until the pending count is back at the watermark.
   /// Called with _adm_mutex held; the victims are completed (OverloadError)
-  /// by the caller outside the lock via finish_shed().
+  /// by the caller outside the lock via finish_shed(), and the runs that
+  /// became heads in `heads` handed on with take_head().
   void shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims,
-                                std::vector<std::shared_ptr<ClientQueue>>& emptied);
+                                std::vector<std::shared_ptr<Topology>>& heads);
 
   /// Complete one shed victim outside every lock: disarm its deadline,
   /// capture OverloadError, decrement the in-flight counters, finish().
@@ -649,9 +641,18 @@ class Executor : private detail::TopologyClient {
   /// outside the lock).  Called with _adm_mutex held.
   void dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start);
 
-  /// Enqueue `cq` on the ready ring of `band` unless it is already ringed;
-  /// returns whether it pushed.  Called with _adm_mutex held.
-  bool ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band);
+  /// The one "new head" step: `head`, a run of this executor, just became
+  /// its queue's front (submitted to an empty queue, or the run ahead
+  /// finished or was shed).  True: the caller start()s it outside every
+  /// lock - always without admission control, else when a slot is free and
+  /// no other head waits.  Otherwise it joins its band's ready ring, or was
+  /// shed meanwhile (the shed handed the queue on).  Under admission
+  /// control, called with _adm_mutex held.
+  bool take_head_locked(const std::shared_ptr<Topology>& head);
+
+  /// take_head_locked() plus the start, for a caller holding none of this
+  /// executor's locks (another executor's worker, or a shed).
+  void take_head(const std::shared_ptr<Topology>& head);
 
   /// Update `taskflow`'s breaker with a finished run's outcome (a stored
   /// exception = failure).  Called with _adm_mutex held.
@@ -666,16 +667,9 @@ class Executor : private detail::TopologyClient {
   void start(Topology& topology);
 
   /// Completion callback (TopologyClient): decides re-arm vs finish, hands
-  /// the client queue to the next pending run, and keeps the in-flight
+  /// the taskflow's queue to the next pending run, and keeps the in-flight
   /// accounting.  Runs on the worker that retired the last task.
   void on_topology_done(Topology& topology) final;
-
-  /// Drop `cq` from the client registry when its queue drained (so the
-  /// registry tracks live clients only).
-  void release_client(ClientQueue* cq);
-
-  /// Wake wait_for_all waiters after a decrement of the in-flight counters.
-  void note_done();
 
   /// Throw tf::ShutdownError when shutdown() already began.
   void throw_if_shutdown() const;
@@ -698,6 +692,11 @@ class Executor : private detail::TopologyClient {
   /// Watchdog thread body: periodic progress-probe scan.
   void watchdog_loop();
 
+  /// The executor that submitted `topology`: its completion client.
+  [[nodiscard]] static Executor& owner_of(const Topology& topology) noexcept {
+    return static_cast<Executor&>(*topology._client);
+  }
+
   /// Handles carry a weak reference to the backend, whose timer queue
   /// serves cancel_after(); a handle outliving the backend degrades to a
   /// no-op.
@@ -711,9 +710,11 @@ class Executor : private detail::TopologyClient {
   std::shared_ptr<ExecutorInterface> _backend;
 
   // -- admission control (DESIGN.md §11) -----------------------------------
-  // Lock order: _adm_mutex -> _clients_mutex -> ClientQueue::mutex.  The
+  // Lock order: _adm_mutex -> RunQueue::mutex -> _live_mutex.  The
   // completion path pops under the queue lock, RELEASES it, and only then
-  // takes _adm_mutex - never the reverse.  _done_mutex stays a leaf.
+  // takes _adm_mutex - never the reverse.  No thread holds two executors'
+  // locks: a head is handed to another executor after releasing our own.
+  // _done_mutex stays a leaf.
   ExecutorOptions _options;
   const bool _admission_active{false};  // any knob set? computed once
   mutable std::mutex _adm_mutex;
@@ -721,26 +722,24 @@ class Executor : private detail::TopologyClient {
   std::size_t _adm_pending{0};              // admitted, not finished/shed
   std::size_t _adm_started{0};              // started on the worker pool
   std::unordered_map<const Taskflow*, AdmissionClient> _adm_clients;
-  // Ready rings (one per band) of clients whose queue head waits for a
-  // concurrency slot, and shed-candidate stacks (newest admitted last; the
-  // stacks hold weak-ish extra refs and are pruned lazily of runs that
-  // started or finished meanwhile).
-  std::deque<std::shared_ptr<ClientQueue>> _adm_ready[kNumPriorities];
+  // Ready rings (one per band) of queue heads waiting for a concurrency
+  // slot, and shed-candidate stacks (newest admitted last; the stacks hold
+  // weak-ish extra refs and are pruned lazily of runs that started or
+  // finished meanwhile).
+  std::deque<std::shared_ptr<Topology>> _adm_ready[kNumPriorities];
   std::vector<std::shared_ptr<Topology>> _adm_shed_stack[kNumPriorities];
   std::atomic<std::size_t> _adm_admitted{0};
   std::atomic<std::size_t> _adm_rejected{0};
   std::atomic<std::size_t> _adm_shed{0};
   std::atomic<std::size_t> _adm_breaker_trips{0};
 
-  mutable std::mutex _clients_mutex;  // registry of per-taskflow run queues
-  std::unordered_map<const Taskflow*, std::shared_ptr<ClientQueue>> _clients;
-
   // Weak registry of every submitted graph run.  Completing
   // workers never touch it (their last action must stay finish(); see
   // on_topology_done): entries simply expire, and writers prune the dead
   // ones lazily in register_live().  shutdown() uses it to abort-cancel and
-  // to wait each surviving run's future into readiness.
-  std::mutex _live_mutex;
+  // to wait each surviving run's future into readiness, and dump_state() to
+  // find the run queues of this executor's clients.
+  mutable std::mutex _live_mutex;
   std::unordered_map<Topology*, std::weak_ptr<Topology>> _live;
 
   std::atomic<std::size_t> _num_topologies{0};

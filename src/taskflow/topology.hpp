@@ -11,9 +11,10 @@
 // (see error.hpp for the drain semantics).
 //
 // Since the executor-centric refactor a topology is *not* started at
-// construction: the owning tf::Executor arms it (arm() resets per-node state
-// and collects source nodes) when the run reaches the head of its taskflow's
-// FIFO queue, and may re-arm it for repeated runs (run_n / run_until).  When
+// construction: the executor that submitted it arms it (arm() resets
+// per-node state and collects source nodes) when the run reaches the head of
+// its taskflow's detail::RunQueue (paper §III-C: a taskflow keeps its own
+// topologies), and may re-arm it for repeated runs (run_n / run_until).  When
 // the live-node counter hits zero the topology notifies its registered
 // detail::TopologyClient - the executor - which decides between re-arming
 // for the next repeat and finishing (fulfilling the promise).
@@ -26,6 +27,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -38,9 +40,12 @@ namespace tf {
 
 class Executor;
 class ExecutorInterface;
+class Taskflow;
 class Topology;
 
 namespace detail {
+
+struct RunQueue;
 
 /// Callback target a Topology notifies when a run completes (its live-node
 /// counter reaches zero).  tf::Executor implements this to drive repeat
@@ -58,13 +63,6 @@ struct TopologyClient {
 
 class Topology {
  public:
-  /// How this topology reached the executor - selects the completion path
-  /// in Executor::on_topology_done.
-  enum class RunKind : unsigned char {
-    queued,  // Executor::run/run_n/run_until: serialized per taskflow
-    async,   // Executor::async: self-deleting single-task run
-  };
-
   /// Borrow `graph`; the caller must keep it alive and un-mutated until
   /// completion.  Does not arm: the executor arms and schedules the topology.
   explicit Topology(Graph* graph) : _graph(graph) {}
@@ -159,10 +157,11 @@ class Topology {
 
   /// Fulfill the completion promise, delivering the first captured task
   /// exception when there is one.  Called exactly once, after the final run.
-  /// This is the very last thing that touches the topology: a waiter may
-  /// release it the moment the future becomes ready.
+  /// It closes the capture window first, so a late deadline cannot
+  /// contradict the outcome.  This is the very last thing that touches the
+  /// topology: a waiter may release it the moment the future becomes ready.
   void finish() {
-    if (auto e = _state->stored()) {
+    if (auto e = _state->close()) {
       _promise.set_exception(std::move(e));
     } else {
       _promise.set_value();
@@ -189,6 +188,7 @@ class Topology {
 
  private:
   friend class Executor;
+  friend struct detail::RunQueue;
 
   Graph* _graph{nullptr};
   std::promise<void> _promise;
@@ -199,9 +199,11 @@ class Topology {
 
   // -- executor-managed run state (see Executor::on_topology_done) ---------
   detail::TopologyClient* _client{nullptr};  // notified at each run completion
-  void* _client_tag{nullptr};                // ClientQueue* / AsyncRun*, per kind
-  std::shared_ptr<void> _client_hold;        // keeps the tagged object alive
-  RunKind _kind{RunKind::queued};
+  void* _client_tag{nullptr};                // the AsyncRun box of an async run
+  // A queued run's taskflow queue (nullptr for an async run) and its links.
+  std::shared_ptr<detail::RunQueue> _queue;
+  std::shared_ptr<Topology> _next;
+  Topology* _prev{nullptr};
   std::size_t _remaining{1};                 // repeats left (run_n)
   std::function<bool()> _stop_pred;          // optional stop test (run_until)
 
@@ -209,7 +211,7 @@ class Topology {
   // -- the owning executor's admission lock after submission ----------------
   enum class AdmitState : unsigned char {
     immediate,  // admission control off: PR 3 start-at-queue-head semantics
-    queued,     // admitted, waiting in its client queue (sheddable)
+    queued,     // admitted, waiting in its taskflow's queue (sheddable)
     started,    // dispatched onto the worker pool (no longer sheddable)
     shed,       // load-shed before it started; future completes with OverloadError
   };
@@ -222,6 +224,57 @@ class Topology {
   // pinned by it).
   detail::TimerQueue::TimerId _deadline_timer{};
 };
+
+namespace detail {
+
+/// The FIFO of one taskflow's runs, shared by every executor that runs it:
+/// the head is the run in flight.  Queued runs hold a reference (the stall
+/// report reaches a queue through a pinned run) and link through
+/// Topology::_next/_prev, so queueing allocates nothing.  Guarded by `mutex`.
+struct RunQueue {
+  explicit RunQueue(const Taskflow* o) noexcept : owner(o) {}
+
+  const Taskflow* const owner;  // admission key and stall-report name only
+  std::mutex mutex;
+  std::shared_ptr<Topology> head;  // owns the chain
+  Topology* tail{nullptr};
+
+  [[nodiscard]] bool empty() const noexcept { return head == nullptr; }
+
+  /// Append `run`; true when it became the head.
+  bool push(std::shared_ptr<Topology> run) noexcept {
+    Topology* const last = std::exchange(tail, run.get());
+    run->_prev = last;
+    (last == nullptr ? head : last->_next) = std::move(run);
+    return last == nullptr;
+  }
+
+  /// Unlink and return the head.
+  std::shared_ptr<Topology> pop() noexcept {
+    std::shared_ptr<Topology> run = std::move(head);
+    head = std::move(run->_next);
+    (head != nullptr ? head->_prev : tail) = nullptr;
+    return run;
+  }
+
+  /// Unlink `run`, wherever it is; true when it was the head.
+  bool erase(Topology& run) noexcept {
+    if (run._prev == nullptr) return pop() != nullptr;  // the head
+    Topology* const prev = std::exchange(run._prev, nullptr);
+    const std::shared_ptr<Topology> self = std::move(prev->_next);  // == run
+    prev->_next = std::move(run._next);
+    (prev->_next != nullptr ? prev->_next->_prev : tail) = prev;
+    return false;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    std::size_t n = 0;
+    for (const Topology* run = head.get(); run != nullptr; run = run->_next.get()) ++n;
+    return n;
+  }
+};
+
+}  // namespace detail
 
 /// Handle to one submitted execution, returned by Executor::run/run_n/
 /// run_until and the paper-era Taskflow::dispatch().  Copyable

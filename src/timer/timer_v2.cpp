@@ -87,6 +87,7 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
   taskflow.graph().recycle();
   Netlist& nl = *_netlist;
   const bool want_dot = fwd.size() + bwd.size() <= Impl::kDumpLimit;
+  im.last_dot.clear();  // a graph too large to dump leaves none, not a stale one
 
   // The cone flags vouch for this build's task handles only: clear them on
   // every exit, so an emplace that throws part-way cannot leave a later

@@ -127,7 +127,9 @@ class TimerV2 final : public TimerBase {
 
   ~TimerV2() override;
 
-  /// DOT dump of the task graph of the last update (paper Fig. 8).
+  /// DOT dump of the task graph of the last update (paper Fig. 8).  Empty
+  /// when that graph had more than 4,096 tasks: printing it would cost more
+  /// than the update.
   [[nodiscard]] std::string dump_last_task_graph() const;
 
   /// Attach an executor observer (CPU-utilization profiling, paper Fig. 10).

@@ -7,10 +7,11 @@
 // runs out of memory leaves the executor whole.
 //
 // Built only when REPRO_ALLOC_TESTS is ON and no sanitizer is active:
-// ASan/TSan replace the allocator themselves and must win.  The bounds below
-// are deliberately loose (2-4x slack over measured values) - they exist to
-// catch a return to per-node/per-edge heap traffic (a 10-1000x regression),
-// not to pin exact allocation counts of the standard library.
+// ASan/TSan replace the allocator themselves and must win.  The graph-build
+// and replay bounds are deliberately loose (2-4x slack over measured values)
+// - they exist to catch a return to per-node/per-edge heap traffic (a
+// 10-1000x regression).  The warm run path's counts are pinned exactly
+// (WarmRunAllocationsArePinned): each of its allocations is a known object.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #error "test_alloc must not be built under a sanitizer (see CMakeLists.txt)"
 #endif
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/server.hpp"
 #include "taskflow/taskflow.hpp"
 
 namespace {
@@ -223,6 +225,73 @@ TEST(Alloc, AsyncSteadyStateReusesBoxes) {
   EXPECT_LE(per_async, 5u) << "async boxes must come from the pool";
 }
 
+// Allocations of one warm `op` on `backend`: it runs 20 times to warm up,
+// then 100 times counted, and every counted run must allocate the same
+// number of times - a per-run count with no amortized growth term.  All
+// workers park once first, so the idler list has its final capacity.
+template <typename Op>
+std::size_t warm_allocations(const tf::ExecutorInterface& backend, Op&& op) {
+  constexpr int kRuns = 100;
+  while (backend.stats().num_idlers < backend.num_workers()) std::this_thread::yield();
+  for (int i = 0; i < 20; ++i) op();
+  std::vector<std::size_t> counts;
+  counts.reserve(kRuns);
+  for (int i = 0; i < kRuns; ++i) {
+    const std::size_t before = allocation_count();
+    op();
+    counts.push_back(allocation_count() - before);
+  }
+  for (int i = 0; i < kRuns; ++i) {
+    EXPECT_EQ(counts[i], counts.front()) << "run " << i << " cost differently";
+  }
+  return counts.front();
+}
+
+// The heap allocations of the warm run path on a 2-worker executor, pinned
+// exactly.  A warm run(tf).get() allocates the Topology (make_shared), its
+// promise's shared state and result, the ErrorState (make_shared), the
+// _live registry node and the sources vector, which grows with the number
+// of sources.  Admission adds the per-taskflow AdmissionClient entry, which
+// is dropped when the client drains.  The run queue itself allocates
+// nothing: runs link through the Topology.
+TEST(Alloc, WarmRunAllocationsArePinned) {
+  using namespace std::chrono_literals;
+  auto backend = tf::make_executor(2);
+  tf::Executor executor(backend);
+  tf::Taskflow one, three;
+  one.emplace([] {});
+  three.emplace([] {}, [] {}, [] {});
+  EXPECT_EQ(warm_allocations(*backend, [&] { executor.run(one).get(); }), 6u);
+  EXPECT_EQ(warm_allocations(*backend, [&] { executor.run(three).get(); }), 8u);
+
+  tf::ExecutorOptions bounded;
+  bounded.max_pending_topologies = 1024;
+  auto bounded_backend = tf::make_executor(2);
+  tf::Executor admitted(bounded_backend, bounded);
+  EXPECT_EQ(warm_allocations(*bounded_backend, [&] { admitted.run(one).get(); }), 7u);
+
+  // A dispatch boxes the graph in a fresh Taskflow, which creates its run
+  // queue; the box's graph storage comes back to the next build.
+  auto paper_backend = tf::make_executor(2);
+  tf::Taskflow paper_era(paper_backend);
+  EXPECT_EQ(warm_allocations(*paper_backend,
+                             [&] {
+                               paper_era.emplace([] {});
+                               paper_era.dispatch().get();
+                               paper_era.wait_for_all();
+                             }),
+            8u);
+
+  tf::ServerOptions server_options;
+  server_options.executor.max_pending_per_client = 64;
+  tf::Server server(server_options);
+  tf::ServerClient& client = server.connect();
+  std::uint64_t id = 0;
+  EXPECT_EQ(warm_allocations(*server.executor().backend(),
+                             [&] { (void)client.call({++id, 1, 0us}); }),
+            9u);
+}
+
 // One submission on a fresh executor, plus the taskflows its runs borrow.
 struct SubmitFixture {
   tf::Taskflow one;
@@ -243,8 +312,9 @@ struct SubmitFixture {
 
 // Fail the k-th allocation of run(taskflow, RunPolicy{10s}) for k = 0, 1,
 // 2, ... until the countdown outlasts the call.  Every step of a
-// submission's allocation - topology, client queue, registry entries,
-// deadline timer, the timer thread's start - may fail: the call then throws
+// submission's allocation - topology, its promise and error state, the
+// _live registry node, deadline timer, the timer thread's start - may
+// fail: the call then throws
 // std::bad_alloc and leaves nothing queued or counted, or it returns a
 // handle that becomes ready.  Either way a later deadline still fires.
 void sweep_submission_failures(const tf::ExecutorOptions& options) {

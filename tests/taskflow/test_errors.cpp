@@ -232,6 +232,28 @@ TEST_P(ErrorModel, MultiTopologyWaitForAllRethrowsFirstInDispatchOrder) {
   EXPECT_EQ(tf.num_topologies(), 0u);
 }
 
+// The timer thread may pop a run's deadline just as the run finishes: an
+// expiry that lands after finish() must lose, or get() and timed_out()
+// disagree.
+TEST(ErrorState, DeadlineFiringAfterFinishLosesTheCapture) {
+  tf::Graph graph;
+  tf::Topology late(&graph);
+  tf::ExecutionHandle late_handle(late.future(), late.shared_error_state());
+  late_handle.cancel();
+  late.finish();
+  EXPECT_FALSE(late.error_state()->expire("run deadline exceeded"));
+  EXPECT_NO_THROW(late_handle.get());
+  EXPECT_FALSE(late_handle.timed_out());
+
+  // An expiry before finish() wins and reports both ways.
+  tf::Topology expired(&graph);
+  tf::ExecutionHandle expired_handle(expired.future(), expired.shared_error_state());
+  EXPECT_TRUE(expired.error_state()->expire("run deadline exceeded"));
+  expired.finish();
+  EXPECT_THROW(expired_handle.get(), tf::TimeoutError);
+  EXPECT_TRUE(expired_handle.timed_out());
+}
+
 INSTANTIATE_TEST_SUITE_P(Executors, ErrorModel,
                          ::testing::Values("work_stealing", "simple"),
                          [](const ::testing::TestParamInfo<const char*>& info) {

@@ -326,7 +326,7 @@ TEST_P(ExecutorApi, StallReportShowsClientQueuesAndAsyncs) {
   EXPECT_NE(drained.find("\nqueue_depth 0\nasyncs 0\n"), std::string::npos)
       << drained;
   EXPECT_EQ(drained.find("queued run(s)"), std::string::npos)
-      << "drained clients must leave the registry:\n"
+      << "a drained taskflow queue is no longer a client:\n"
       << drained;
 }
 
@@ -494,6 +494,129 @@ TEST_P(ExecutorApi, EightConcurrentClientsHammerOneExecutor) {
   EXPECT_GT(private_runs.load(), 0);
   EXPECT_EQ(executor.num_topologies(), 0u);
   EXPECT_EQ(executor.num_asyncs(), 0u);
+}
+
+// One taskflow, two executors: its runs queue in the taskflow's own FIFO, so
+// they never overlap, whichever executor submitted them.  Each case runs a
+// ~450-task layered graph from two threads, one per executor.  One worker per
+// backend keeps the 1.8M task executions of a case well under a second.  A
+// queue per (executor, taskflow) pair instead would let the two executors
+// re-arm the graph under each other's running tasks: each case aborts then.
+TEST_P(ExecutorApi, OneTaskflowRunsInOrderOnTwoExecutors) {
+  constexpr int kRuns = 2000;  // per thread
+  constexpr int kWidth = 64;
+  constexpr int kLayers = 7;
+  constexpr long kTasks = kWidth * kLayers + 2;
+  tf::Taskflow taskflow;
+  std::atomic<long> executed{0};
+  std::atomic<int> in_flight{0};  // raised by the source, lowered by the sink
+  std::atomic<int> max_in_flight{0};
+  auto source = taskflow.emplace([&] {
+    const int now = in_flight.fetch_add(1) + 1;
+    for (int seen = max_in_flight.load(); now > seen;) {
+      if (max_in_flight.compare_exchange_weak(seen, now)) break;
+    }
+    executed.fetch_add(1, std::memory_order_relaxed);
+  });
+  auto sink = taskflow.emplace([&] {
+    in_flight.fetch_sub(1);
+    executed.fetch_add(1, std::memory_order_relaxed);
+  });
+  std::vector<tf::Task> layer;
+  for (int l = 0; l < kLayers; ++l) {
+    std::vector<tf::Task> next;
+    for (int k = 0; k < kWidth; ++k) {
+      next.push_back(
+          taskflow.emplace([&] { executed.fetch_add(1, std::memory_order_relaxed); }));
+    }
+    for (int k = 0; k < kWidth; ++k) {
+      if (l == 0) {
+        source.precede(next[k]);
+      } else {
+        layer[k].precede(next[k], next[(k + 1) % kWidth]);
+      }
+    }
+    layer = std::move(next);
+  }
+  for (auto& task : layer) task.precede(sink);
+
+  auto run_pair = [&](tf::Executor& a, tf::Executor& b) {
+    executed = 0;
+    max_in_flight = 0;
+    std::vector<tf::ExecutionHandle> handles[2];
+    auto client = [&](tf::Executor& executor, std::vector<tf::ExecutionHandle>& mine) {
+      mine.reserve(kRuns);
+      for (int i = 0; i < kRuns; ++i) {
+        mine.push_back(executor.run(taskflow));
+        mine.back().get();
+      }
+    };
+    std::thread other(client, std::ref(b), std::ref(handles[1]));
+    client(a, handles[0]);
+    other.join();
+    EXPECT_EQ(executed.load(), 2 * kRuns * kTasks);
+    EXPECT_EQ(max_in_flight.load(), 1) << "runs of one taskflow overlapped";
+    for (const auto& mine : handles) {
+      ASSERT_EQ(mine.size(), static_cast<std::size_t>(kRuns));
+      for (const auto& h : mine) {
+        ASSERT_EQ(h.wait_for(0s), std::future_status::ready);
+      }
+    }
+    EXPECT_EQ(a.num_topologies() + b.num_topologies(), 0u);
+  };
+
+  {
+    SCOPED_TRACE("two executors, two backends");
+    tf::Executor a(backend(1)), b(backend(1));
+    run_pair(a, b);
+  }
+  {
+    SCOPED_TRACE("two executors over one backend");
+    auto shared = backend(1);
+    tf::Executor a(shared), b(shared);
+    run_pair(a, b);
+  }
+  {
+    SCOPED_TRACE("two executors with admission control");
+    tf::ExecutorOptions options;
+    options.max_concurrent_topologies = 1;
+    tf::Executor a(backend(1), options), b(backend(1), options);
+    run_pair(a, b);
+  }
+}
+
+// A shed run at the head of its taskflow's queue hands the queue to the run
+// behind it, which then waits for the concurrency slot like any head.
+TEST_P(ExecutorApi, ShedHeadHandsItsQueueToTheNextRun) {
+  tf::Taskflow parked, shared;
+  std::atomic<bool> gate{false};
+  std::atomic<int> ran{0};
+  parked.emplace([&] {
+    while (!gate.load()) std::this_thread::yield();
+  });
+  shared.emplace([&] { ran++; });
+  tf::ExecutorOptions options;
+  options.max_concurrent_topologies = 1;
+  options.shed_watermark = 2;
+  tf::Executor executor(backend(1), options);
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate = true; }  // before the executor drains, on any exit
+  } open_gate{gate};
+
+  tf::RunPolicy low, high;
+  low.priority = 0;
+  high.priority = 2;
+  auto holder = executor.run(parked);       // takes the only slot
+  auto head = executor.run(shared, low);    // heads `shared`, waits for the slot
+  auto next = executor.run(shared, high);   // 3 pending > 2: sheds `head`
+  EXPECT_THROW(head.get(), tf::OverloadError);
+  gate = true;
+  ASSERT_EQ(next.wait_for(kDeadline), std::future_status::ready)
+      << executor.stall_report();
+  EXPECT_NO_THROW(next.get());
+  EXPECT_EQ(ran.load(), 1);
+  holder.get();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ExecutorApi,

@@ -185,6 +185,31 @@ TEST_F(EngineTest, V2DumpsTaskGraphOnSmallUpdates) {
   EXPECT_NE(dot.find("bwd:"), std::string::npos);
 }
 
+TEST_F(EngineTest, V2DumpIsEmptyAfterAnUpdateTooLargeToDump) {
+  constexpr std::size_t kDumpLimit = 4096;
+  auto nl = circuit(1500, 77);
+  ot::TimerV2 t(nl, opt);
+  t.full_update();
+  ASSERT_GT(t.last_update_tasks(), kDumpLimit);
+  EXPECT_TRUE(t.dump_last_task_graph().empty());
+
+  // A small resize dumps its graph...
+  ot::ModifierStream mods(nl, 5);
+  bool dumped = false;
+  for (int i = 0; i < 64 && !dumped; ++i) {
+    const auto m = mods.next();
+    t.resize(m.gate, *m.new_cell);
+    dumped = t.last_update_tasks() > 0 && t.last_update_tasks() <= kDumpLimit;
+  }
+  ASSERT_TRUE(dumped) << "no resize cone small enough to dump";
+  EXPECT_NE(t.dump_last_task_graph().find("digraph"), std::string::npos);
+
+  // ...and the full update after it, too large to dump, leaves none.
+  t.full_update();
+  ASSERT_GT(t.last_update_tasks(), kDumpLimit);
+  EXPECT_TRUE(t.dump_last_task_graph().empty());
+}
+
 TEST_F(EngineTest, V2BarrierPrecedesOnlyBackwardEnds) {
   // Every backward task with in-cone fan-out already waits on the barrier
   // through that fan-out chain, so on a full update the barrier's only

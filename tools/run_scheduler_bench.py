@@ -43,7 +43,6 @@ the environment (see EXPERIMENTS.md); pin them for stable comparisons.
 
 import argparse
 import csv
-import glob
 import json
 import os
 import platform
@@ -385,33 +384,24 @@ def attach_deltas(doc, baseline):
     doc["delta_pct_vs_baseline"] = deltas
 
 
-# Each sanitizer gate runs the ctest labels of its test directories.  TSan
-# leaves out timer: TimerV1 runs on libgomp, whose uninstrumented barriers
-# TSan cannot see into.
+# Each sanitizer gate builds and runs the tests of its test directories,
+# through the directories' aggregate targets and ctest labels.  TSan leaves
+# out timer: TimerV1 runs on libgomp, whose uninstrumented barriers TSan
+# cannot see into.  test_alloc is never part of a gate: its operator-new
+# interposer cannot coexist with the sanitizer runtimes, so CMake defines it
+# only in plain trees.
 TSAN_SUITES = ["taskflow", "support", "service"]
 ASAN_SUITES = TSAN_SUITES + ["timer"]
-
-
-def sanitizer_test_targets(suites):
-    """Every tests/<suite>/test_*.cpp target of `suites`, derived from the
-    tree so a new test is gated without a list to keep: a suite whose
-    target is not built registers only an unlabelled <target>_NOT_BUILT
-    entry, which the label filter would drop without a message.  test_alloc
-    is left out: its operator-new interposer cannot coexist with the
-    sanitizer runtimes, so CMake only defines it in plain trees."""
-    return [os.path.splitext(os.path.basename(path))[0]
-            for suite in suites
-            for path in sorted(glob.glob(
-                os.path.join(REPO_ROOT, "tests", suite, "test_*.cpp")))
-            if os.path.basename(path) != "test_alloc.cpp"]
 
 
 def run_sanitized(build_dir, cmake_flag, label, suites):
     """Configure a sanitizer build tree and run `suites` under it."""
     run(["cmake", "-B", build_dir, "-S", REPO_ROOT, cmake_flag],
         stdout=subprocess.DEVNULL)
-    run(["cmake", "--build", build_dir, "-j", "--target"]
-        + sanitizer_test_targets(suites))
+    # tests_<suite> (tests/CMakeLists.txt) compiles a suite's tests in
+    # parallel; a list of test targets would build one after another.
+    run(["cmake", "--build", build_dir, "-j", str(os.cpu_count() or 1),
+         "--target"] + [f"tests_{suite}" for suite in suites])
     run(["ctest", "--test-dir", build_dir, "--output-on-failure", "-j2",
          "-L", "|".join(suites)])
     print(f"{label}: {' + '.join(suites)} suites clean")
