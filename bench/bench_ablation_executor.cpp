@@ -4,7 +4,7 @@
 //     on a chain-heavy workload;
 //   * probabilistic load-balance wakeups at several probabilities, on an
 //     independent-task workload;
-//   * WorkStealingExecutor vs the central-queue SimpleExecutor.
+//   * the independent-task workload at 1, 2 and 4 workers.
 #include <benchmark/benchmark.h>
 
 #include "taskflow/taskflow.hpp"
@@ -66,22 +66,6 @@ void BM_Fan_WorkStealing(benchmark::State& state) {
       static_cast<double>(state.iterations()) * kFanTasks, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Fan_WorkStealing)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_Fan_SimpleExecutor(benchmark::State& state) {
-  auto executor = std::make_shared<tf::SimpleExecutor>(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) run_fan(executor);
-  state.counters["tasks/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kFanTasks, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Fan_SimpleExecutor)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_Chain_SimpleExecutor(benchmark::State& state) {
-  auto executor = std::make_shared<tf::SimpleExecutor>(4);
-  for (auto _ : state) run_chain(executor);
-  state.counters["tasks/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kChainLength, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Chain_SimpleExecutor)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

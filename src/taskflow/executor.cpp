@@ -11,8 +11,8 @@
 namespace tf {
 
 namespace {
-// Identifies the worker context of the current thread, so schedule() can use
-// the worker-local cache / local queue fast paths (Algorithm 1).
+// Identifies the worker context of the current thread, so schedule_batch()
+// can use the worker-local cache / local queue fast paths (Algorithm 1).
 struct TlsWorker {
   void* executor{nullptr};
   void* worker{nullptr};
@@ -289,10 +289,10 @@ bool ExecutorInterface::dispatch_subgraph(Node* node, bool detached) {
     // topology counter); the child that brings it to zero finalizes us.
     node->_join_counter.store(static_cast<int>(sources.size()),
                               std::memory_order_release);
-    schedule_batch(sources);
+    schedule_batch(sources.data(), sources.size());
     return true;
   }
-  schedule_batch(sources);
+  schedule_batch(sources.data(), sources.size());
   return false;
 }
 
@@ -432,7 +432,7 @@ WorkStealingExecutor::WorkStealingExecutor(std::size_t num_workers,
 
 WorkStealingExecutor::~WorkStealingExecutor() {
   // Join the timer thread first: its callbacks re-enter the virtual
-  // schedule(), which must not race worker teardown.
+  // schedule_batch(), which must not race worker teardown.
   timers().stop();
   {
     std::scoped_lock lock(_mutex);
@@ -472,35 +472,8 @@ bool WorkStealingExecutor::all_queues_empty() const noexcept {
   return true;
 }
 
-void WorkStealingExecutor::schedule(Node* node) {
-  if (tls_worker.executor == this) {
-    auto* w = static_cast<Worker*>(tls_worker.worker);
-    // Fast path (Algorithm 1 lines 16-25): stash into the exclusive cache so
-    // the current worker continues a linear chain without touching queues.
-    if (_options.enable_worker_cache && w->cache == nullptr) {
-      w->cache = node;
-      _cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    w->queue.push(node);
-    // Dekker-style pairing with park(): the push above must be ordered
-    // before reading the idler count, and the parking worker's increment is
-    // ordered before its emptiness re-check.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (_num_idlers.load(std::memory_order_relaxed) > 0) wake_one(nullptr);
-    return;
-  }
-  // External submitter: go through the central queue (or hand the task
-  // directly to a parked worker).
-  wake_one(node);
-}
-
 void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
   if (n == 0) return;
-  if (n == 1) {
-    schedule(nodes[0]);
-    return;
-  }
 
   if (tls_worker.executor == this) {
     auto* w = static_cast<Worker*>(tls_worker.worker);
@@ -515,8 +488,10 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
     const std::size_t pushed = n - i;
     for (; i < n; ++i) w->queue.push(nodes[i]);
     if (pushed == 0) return;
-    // One Dekker fence and one wake pass for the whole batch (the per-node
-    // path pays both per successor).
+    // One Dekker fence and one wake pass for the whole batch, paired with
+    // park(): the pushes must be ordered before reading the idler count, and
+    // the parking worker's increment is ordered before its emptiness
+    // re-check.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const int idlers = _num_idlers.load(std::memory_order_relaxed);
     if (idlers > 0) {
@@ -544,8 +519,8 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
         victim->cache = nodes[i++];
         to_wake[k++] = victim;
       }
-      if (k < 16 || i == n) {
-        // Idlers exhausted (or batch fully handed off): spill the remainder.
+      if (i < n && k < 16) {
+        // Idlers exhausted: spill the remainder.
         for (; i < n; ++i) _central.push_back(nodes[i]);
         _num_central.store(_central.size(), std::memory_order_release);
       }
@@ -554,30 +529,6 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
     for (std::size_t j = 0; j < k; ++j) to_wake[j]->cv.notify_one();
     if (k < 16) break;  // remainder already spilled under the last lock
   }
-}
-
-void WorkStealingExecutor::wake_one(Node* direct) {
-  Worker* victim = nullptr;
-  {
-    std::scoped_lock lock(_mutex);
-    if (_idlers.empty()) {
-      if (direct != nullptr) {
-        _central.push_back(direct);
-        _num_central.store(_central.size(), std::memory_order_release);
-      }
-      return;
-    }
-    victim = _idlers.back();
-    _idlers.pop_back();
-    _num_idlers.fetch_sub(1, std::memory_order_relaxed);
-    victim->idle = false;
-    if (direct != nullptr) {
-      assert(victim->cache == nullptr);
-      victim->cache = direct;  // precise wakeup with zero queue traffic
-    }
-  }
-  _wakes.fetch_add(1, std::memory_order_relaxed);
-  victim->cv.notify_one();
 }
 
 void WorkStealingExecutor::wake_n(std::size_t n) {
@@ -745,80 +696,12 @@ void WorkStealingExecutor::worker_loop(Worker& w) {
     if (_options.balance_wake_probability > 0.0 &&
         w.rng.uniform() < _options.balance_wake_probability &&
         _num_idlers.load(std::memory_order_relaxed) > 0) {
-      wake_one(nullptr);
+      wake_n(1);
     }
   }
 
   tls_worker.executor = nullptr;
   tls_worker.worker = nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// SimpleExecutor
-// ---------------------------------------------------------------------------
-
-SimpleExecutor::SimpleExecutor(std::size_t num_workers) {
-  if (num_workers == 0) num_workers = 1;
-  _threads.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    _threads.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-SimpleExecutor::~SimpleExecutor() {
-  timers().stop();  // see WorkStealingExecutor::~WorkStealingExecutor
-  {
-    std::scoped_lock lock(_mutex);
-    _stop = true;
-  }
-  _cv.notify_all();
-  for (auto& t : _threads) t.join();
-}
-
-void SimpleExecutor::schedule(Node* node) {
-  {
-    std::scoped_lock lock(_mutex);
-    _queue.push_back(node);
-  }
-  _cv.notify_one();
-}
-
-void SimpleExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
-  if (n == 0) return;
-  {
-    std::scoped_lock lock(_mutex);
-    for (std::size_t i = 0; i < n; ++i) _queue.push_back(nodes[i]);
-  }
-  if (n == 1) {
-    _cv.notify_one();
-  } else {
-    _cv.notify_all();
-  }
-}
-
-ExecutorInterface::SchedulerStats SimpleExecutor::stats() const {
-  SchedulerStats s;
-  s.backend = "simple";
-  s.num_workers = _threads.size();
-  {
-    std::scoped_lock lock(_mutex);
-    s.queue_depth = _queue.size();
-  }
-  return s;
-}
-
-void SimpleExecutor::worker_loop(std::size_t worker_id) {
-  for (;;) {
-    Node* task = nullptr;
-    {
-      std::unique_lock lock(_mutex);
-      _cv.wait(lock, [&] { return _stop || !_queue.empty(); });
-      if (_queue.empty()) return;  // stop and drained
-      task = _queue.front();
-      _queue.pop_front();
-    }
-    run_task(worker_id, task);
-  }
 }
 
 std::shared_ptr<WorkStealingExecutor> make_executor(std::size_t n,

@@ -3,23 +3,20 @@
 // ExecutorInterface is the pluggable scheduler abstraction: a Taskflow holds
 // one via std::shared_ptr so an executor can be shared among multiple
 // taskflow objects (modular development without thread over-subscription,
-// paper §III-E).  Two implementations are provided:
-//
-//  * WorkStealingExecutor - the paper's default scheduler (Algorithm 1):
-//    a mixed work-stealing / work-sharing strategy with
-//      (1) a per-worker exclusive task *cache* enabling speculative
-//          execution of linear task chains without queue round-trips,
-//      (2) a precise *idler list*: preempted workers park on their own
-//          condition variable and are woken one at a time, either exactly
-//          when work arrives or probabilistically for load balancing,
-//      (3) *batched* release: all successors made ready by one finishing
-//          task are published with a single fence and a single wake_n pass
-//          instead of one fence + mutex round-trip per successor, and
-//      (4) a bounded *spin-then-park* phase so workers ride out short gaps
-//          between bursts without paying the park/wake round-trip.
-//
-//  * SimpleExecutor - a plain central-queue work-sharing pool, used as the
-//    pluggable alternative and by the executor ablation benchmark.
+// paper §III-E).  A backend implements one scheduling entry, schedule_batch,
+// plus num_workers.  The in-tree backend is WorkStealingExecutor, the
+// paper's default scheduler (Algorithm 1): a mixed work-stealing /
+// work-sharing strategy with
+//   (1) a per-worker exclusive task *cache* enabling speculative execution
+//       of linear task chains without queue round-trips,
+//   (2) a precise *idler list*: preempted workers park on their own
+//       condition variable and are woken either exactly when work arrives or
+//       probabilistically for load balancing,
+//   (3) *batched* release: all successors made ready by one finishing task
+//       are published with a single fence and a single wake_n pass instead
+//       of one fence + mutex round-trip per successor, and
+//   (4) a bounded *spin-then-park* phase so workers ride out short gaps
+//       between bursts without paying the park/wake round-trip.
 //
 // A backend's scheduling state is read through one call, stats(): worker
 // count, queue depths (total and per worker), parked workers and the
@@ -110,18 +107,14 @@ class ExecutorInterface {
  public:
   virtual ~ExecutorInterface() = default;
 
-  /// Schedule one ready node for execution.
-  virtual void schedule(Node* node) = 0;
+  /// The one scheduling entry of a backend: make `n` ready nodes runnable.
+  /// Called from the backend's own workers (released successors, subflow
+  /// sources, retries), from submitting threads (a run's sources) and from
+  /// the timer thread (retry backoff).
+  virtual void schedule_batch(Node* const* nodes, std::size_t n) = 0;
 
-  /// Schedule a batch of ready nodes; default forwards to schedule().
-  virtual void schedule_batch(Node* const* nodes, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) schedule(nodes[i]);
-  }
-
-  /// Convenience overload for callers holding a vector (e.g. dispatch).
-  void schedule_batch(const std::vector<Node*>& nodes) {
-    schedule_batch(nodes.data(), nodes.size());
-  }
+  /// Schedule one ready node: a one-node batch.
+  void schedule(Node* node) { schedule_batch(&node, 1); }
 
   /// Number of worker threads.
   [[nodiscard]] virtual std::size_t num_workers() const noexcept = 0;
@@ -130,8 +123,8 @@ class ExecutorInterface {
   /// of Executor::metrics(), which the stall report and /healthz render.
   /// Safe to call from any thread while graphs run; the numbers are a
   /// best-effort snapshot, not a consistent cut.
-  /// A backend that does not track a field leaves it 0 (SimpleExecutor
-  /// tracks none of num_idlers, steals, cache_hits, parks and wakes).
+  /// A backend that does not track a field leaves it 0; the default below
+  /// fills in only num_workers.
   struct SchedulerStats {
     std::size_t num_workers{0};
     std::size_t queue_depth{0};   // tasks sitting in scheduler queues
@@ -140,7 +133,7 @@ class ExecutorInterface {
     std::size_t cache_hits{0};
     std::size_t parks{0};
     std::size_t wakes{0};
-    std::string_view backend{"custom"};  // "work-stealing", "simple", ...
+    std::string_view backend{"custom"};  // "work-stealing", ...
     /// Depth of each worker's own queue (part of queue_depth); empty for a
     /// backend whose workers share one queue.
     std::vector<std::size_t> worker_queue_depths;
@@ -178,7 +171,7 @@ class ExecutorInterface {
   /// never touch a resilience feature never pay it; num_pending() and
   /// cancel() never start it.  Every derived destructor MUST call
   /// timers().stop() before tearing down its own scheduling state: timer
-  /// callbacks re-enter the virtual schedule(), so the thread may not
+  /// callbacks re-enter the virtual schedule_batch(), so the thread may not
   /// outlive the derived object.  Entries still pending are dropped -
   /// legal because an executor is only destroyed after all topologies
   /// (including any with waiting retries or live deadlines) have drained.
@@ -208,12 +201,10 @@ class ExecutorInterface {
   /// Invoke `node`'s work on worker `worker_id`, expand dynamic subflows,
   /// release successors, and schedule every newly ready one as one batch.
   ///
-  /// This is the single invocation path shared by every executor (both
-  /// WorkStealingExecutor and SimpleExecutor route all tasks through it),
-  /// which is what keeps the error model uniform across pluggable
-  /// executors: the catch-all exception capture and the cancellation
-  /// skip-but-finalize drain live here, so their semantics cannot diverge
-  /// between executor implementations.
+  /// This is the single invocation path shared by every backend, which is
+  /// what keeps the error model uniform across pluggable executors: the
+  /// catch-all exception capture and the cancellation skip-but-finalize
+  /// drain live here, so their semantics cannot diverge between backends.
   void run_task(std::size_t worker_id, Node* node);
 
   /// Collect a finished node's ready successors into `ready` (for a
@@ -266,12 +257,15 @@ struct WorkStealingOptions {
   /// Probability that a worker wakes one idler after draining its chain
   /// (Algorithm 1 lines 26-28).  0 disables proactive load balancing.
   double balance_wake_probability{1.0 / 64.0};
-  /// Steal sweeps over all victims before a worker gives up a search pass.
+  /// Steal sweeps over all victims after the local queue comes up empty and
+  /// before the spin phase.  0 skips these sweeps but does not disable
+  /// stealing: every spin iteration runs one sweep too, so stealing is off
+  /// only when spin_tries is 0 as well.
   int steal_rounds{2};
   /// Bounded exponential-backoff spin/yield iterations a worker performs
-  /// after an empty sweep before parking on its condition variable.  Each
-  /// iteration re-checks the local queue, the victims, and the central
-  /// queue.  0 restores park-immediately behavior.
+  /// after an empty search pass before parking on its condition variable.
+  /// Each iteration runs one steal sweep (the victims, then the central
+  /// queue).  0 restores park-immediately behavior.
   int spin_tries{64};
 };
 
@@ -284,9 +278,12 @@ class WorkStealingExecutor final : public ExecutorInterface {
   WorkStealingExecutor(const WorkStealingExecutor&) = delete;
   WorkStealingExecutor& operator=(const WorkStealingExecutor&) = delete;
 
-  void schedule(Node* node) override;
+  /// On a worker of this executor the first node goes to the worker's cache
+  /// slot (when enabled and empty) and the rest to its own queue, followed
+  /// by one fence and one wake pass.  From any other thread the nodes are
+  /// handed to parked workers' caches and the remainder spills to the
+  /// central queue.
   void schedule_batch(Node* const* nodes, std::size_t n) override;
-  using ExecutorInterface::schedule_batch;
 
   /// Atomics only.  steals counts successful steals; cache_hits counts
   /// direct cache hand-offs (speculative chain executions); parks and wakes
@@ -326,10 +323,6 @@ class WorkStealingExecutor final : public ExecutorInterface {
   /// When central work is found under the park lock it is claimed into
   /// `out` instead of parking (the guaranteed drain when stealing is off).
   bool park(Worker& w, Node*& out);
-  /// Wake one idler; `direct` (optional) is handed straight into the woken
-  /// worker's cache (precise wakeup, Algorithm 1 line 27); otherwise, when no
-  /// idler exists and `direct` != nullptr, it is pushed to the central queue.
-  void wake_one(Node* direct);
   /// Wake up to `n` idlers under a single mutex acquisition.
   void wake_n(std::size_t n);
   [[nodiscard]] bool all_queues_empty() const noexcept;
@@ -349,34 +342,6 @@ class WorkStealingExecutor final : public ExecutorInterface {
   std::atomic<std::size_t> _cache_hits{0};
   std::atomic<std::size_t> _parks{0};
   std::atomic<std::size_t> _wakes{0};
-};
-
-/// Plain work-sharing pool over one shared queue: the simplest conforming
-/// ExecutorInterface, used for comparison and as a reference scheduler.
-class SimpleExecutor final : public ExecutorInterface {
- public:
-  explicit SimpleExecutor(std::size_t num_workers = std::thread::hardware_concurrency());
-  ~SimpleExecutor() override;
-
-  SimpleExecutor(const SimpleExecutor&) = delete;
-  SimpleExecutor& operator=(const SimpleExecutor&) = delete;
-
-  void schedule(Node* node) override;
-  void schedule_batch(Node* const* nodes, std::size_t n) override;
-  using ExecutorInterface::schedule_batch;
-
-  [[nodiscard]] SchedulerStats stats() const override;
-
-  [[nodiscard]] std::size_t num_workers() const noexcept override { return _threads.size(); }
-
- private:
-  void worker_loop(std::size_t worker_id);
-
-  mutable std::mutex _mutex;
-  std::condition_variable _cv;
-  detail::NodeFifo _queue;
-  bool _stop{false};
-  std::vector<std::thread> _threads;
 };
 
 /// Convenience factory: a shared work-stealing executor with `n` workers.

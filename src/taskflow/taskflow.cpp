@@ -1,7 +1,6 @@
 #include "taskflow/taskflow.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <functional>
 #include <sstream>
@@ -53,74 +52,46 @@ struct AsyncRun {
   Topology topology{&graph};
 };
 
-// Freelist of retired AsyncRun boxes, sharded so an async storm's concurrent
-// submitters and completers don't contend on one lock: each thread hashes to
-// a home shard (workers are long-lived threads, so this behaves like a
-// per-worker freelist).  Shards are bounded; overflow falls back to the heap.
+// Bounded freelist of retired AsyncRun boxes, so an async storm reuses box
+// and graph-arena storage instead of allocating per submission.  One mutex
+// guards it: a push or a pop is a few instructions under the lock.  The
+// capacity is reserved up front, so release() never allocates (it runs on
+// the completing worker); boxes beyond it are freed.
 class AsyncRunPool {
  public:
-  static constexpr std::size_t kShards = 8;
-  static constexpr std::size_t kMaxPerShard = 64;
+  static constexpr std::size_t kMaxBoxes = 256;
+
+  AsyncRunPool() { _boxes.reserve(kMaxBoxes); }
 
   ~AsyncRunPool() {
     // Runs after the executor drained: no box is in flight.
-    for (Shard& shard : _shards) {
-      for (AsyncRun* box : shard.items) delete box;
-    }
+    for (AsyncRun* box : _boxes) delete box;
   }
+
+  AsyncRunPool(const AsyncRunPool&) = delete;
+  AsyncRunPool& operator=(const AsyncRunPool&) = delete;
 
   /// A recycled box (already reset) or nullptr when the pool is empty.
-  /// Tries the home shard first; on a miss it probes the others - boxes are
-  /// released on the *completing* worker's shard, so a submitter draining a
-  /// different shard than it fills is the normal steady state.
   [[nodiscard]] AsyncRun* acquire() {
-    const std::size_t home = home_index();
-    for (std::size_t i = 0; i < kShards; ++i) {
-      Shard& shard = _shards[(home + i) % kShards];
-      SpinGuard guard(shard.lock);
-      if (!shard.items.empty()) {
-        AsyncRun* box = shard.items.back();
-        shard.items.pop_back();
-        return box;
-      }
-    }
-    return nullptr;
+    std::scoped_lock lock(_mutex);
+    if (_boxes.empty()) return nullptr;
+    AsyncRun* box = _boxes.back();
+    _boxes.pop_back();
+    return box;
   }
 
-  /// Return a retired box; false when the home shard is full (caller
-  /// deletes - the pool stays bounded under sustained storms).
+  /// Return a retired box; false when the pool is full (the caller deletes
+  /// it, so the pool stays bounded under sustained storms).
   [[nodiscard]] bool release(AsyncRun* box) {
-    Shard& shard = _shards[home_index()];
-    SpinGuard guard(shard.lock);
-    if (shard.items.size() >= kMaxPerShard) return false;
-    shard.items.push_back(box);
+    std::scoped_lock lock(_mutex);
+    if (_boxes.size() >= kMaxBoxes) return false;
+    _boxes.push_back(box);
     return true;
   }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic_flag lock = ATOMIC_FLAG_INIT;
-    std::vector<AsyncRun*> items;
-  };
-
-  struct SpinGuard {
-    explicit SpinGuard(std::atomic_flag& f) : flag(f) {
-      while (flag.test_and_set(std::memory_order_acquire)) {
-        // Uncontended in the common case (one thread per shard); a brief
-        // spin beats a futex round trip for the push/pop critical section.
-      }
-    }
-    ~SpinGuard() { flag.clear(std::memory_order_release); }
-    std::atomic_flag& flag;
-  };
-
-  [[nodiscard]] static std::size_t home_index() {
-    const std::size_t h =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return h % kShards;
-  }
-
-  Shard _shards[kShards];
+  std::mutex _mutex;
+  std::vector<AsyncRun*> _boxes;
 };
 
 }  // namespace detail
@@ -147,18 +118,6 @@ Executor::Executor(std::shared_ptr<ExecutorInterface> backend, ExecutorOptions o
 }
 
 Executor::~Executor() { shutdown(ShutdownMode::drain); }
-
-ExecutionHandle Executor::run(Taskflow& taskflow) {
-  return handle_of(submit(taskflow, 1, nullptr));
-}
-
-ExecutionHandle Executor::run_n(Taskflow& taskflow, std::size_t n) {
-  return handle_of(submit(taskflow, n, nullptr));
-}
-
-ExecutionHandle Executor::run_until(Taskflow& taskflow, std::function<bool()> stop) {
-  return handle_of(submit(taskflow, 1, std::move(stop)));
-}
 
 ExecutionHandle Executor::run(Taskflow& taskflow, RunPolicy policy) {
   return handle_of(submit(taskflow, 1, nullptr, policy));
@@ -585,7 +544,8 @@ void Executor::start(Topology& topology) {
     on_topology_done(topology);
     return;
   }
-  _backend->schedule_batch(topology.sources());
+  const std::vector<Node*>& sources = topology.sources();
+  _backend->schedule_batch(sources.data(), sources.size());
 }
 
 void Executor::on_topology_done(Topology& topology) {

@@ -88,9 +88,9 @@ struct GraphOwner {
 // Heap box of one Executor::async submission: a single-node graph plus its
 // topology (defined in taskflow.cpp).
 struct AsyncRun;
-// Sharded freelist of retired AsyncRun boxes (defined in taskflow.cpp):
+// Bounded freelist of retired AsyncRun boxes (defined in taskflow.cpp):
 // async storms reuse box + graph-arena storage instead of hitting the heap
-// per submission, and shards keep concurrent submitters off one lock.
+// per submission.
 class AsyncRunPool;
 }  // namespace detail
 
@@ -360,29 +360,26 @@ class Executor : private detail::TopologyClient {
   /// Throws tf::CycleError when the graph is cyclic (checked when no run of
   /// this taskflow is pending on any executor; queued resubmissions of the
   /// same - immutable while in flight - graph skip the re-check).
-  ExecutionHandle run(Taskflow& taskflow);
-
-  /// Run `taskflow` `n` times back-to-back (non-blocking).  The handle
-  /// completes after the n-th run; a task exception or a cancel() stops the
-  /// remaining repeats (the exception rethrows from get()).
-  ExecutionHandle run_n(Taskflow& taskflow, std::size_t n);
-
-  /// Run `taskflow` repeatedly until `stop` returns true (evaluated after
-  /// each completed run, on a worker thread).  Runs at least once.
-  ExecutionHandle run_until(Taskflow& taskflow, std::function<bool()> stop);
-
-  // ---- resilience policies (DESIGN.md §8) --------------------------------
-
-  /// run/run_n/run_until with a RunPolicy: `policy.timeout` deadlines the
+  ///
+  /// `policy` (resilience, DESIGN.md §8): `policy.timeout` deadlines the
   /// whole submission.  On expiry the run drains cooperatively and the
   /// handle's get() rethrows tf::TimeoutError.  On an executor with
   /// admission control (non-default ExecutorOptions) the policy also selects
   /// the at-capacity behavior (block with optional admission_timeout, or
   /// reject with tf::OverloadError) and the run's priority band.
-  ExecutionHandle run(Taskflow& taskflow, RunPolicy policy);
-  ExecutionHandle run_n(Taskflow& taskflow, std::size_t n, RunPolicy policy);
+  ExecutionHandle run(Taskflow& taskflow, RunPolicy policy = {});
+
+  /// Run `taskflow` `n` times back-to-back (non-blocking).  The handle
+  /// completes after the n-th run; a task exception or a cancel() stops the
+  /// remaining repeats (the exception rethrows from get()).  `policy` as
+  /// for run(), applied to the whole submission.
+  ExecutionHandle run_n(Taskflow& taskflow, std::size_t n, RunPolicy policy = {});
+
+  /// Run `taskflow` repeatedly until `stop` returns true (evaluated after
+  /// each completed run, on a worker thread).  Runs at least once.  `policy`
+  /// as for run(), applied to the whole submission.
   ExecutionHandle run_until(Taskflow& taskflow, std::function<bool()> stop,
-                            RunPolicy policy);
+                            RunPolicy policy = {});
 
   // ---- admission control (DESIGN.md §11) ---------------------------------
 

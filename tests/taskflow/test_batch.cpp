@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
+
 namespace {
 
 constexpr int kFanOut = 512;
@@ -42,8 +44,8 @@ TEST(BatchRelease, FanOutExactlyOnceWorkStealing) {
   run_fanout_exactly_once(tf::make_executor(4));
 }
 
-TEST(BatchRelease, FanOutExactlyOnceSimpleExecutor) {
-  run_fanout_exactly_once(std::make_shared<tf::SimpleExecutor>(4));
+TEST(BatchRelease, FanOutExactlyOnceCustomBackend) {
+  run_fanout_exactly_once(std::make_shared<tf_test::CustomBackend>());
 }
 
 // The batch must be published while the other workers are parked: let the

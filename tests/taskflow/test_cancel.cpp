@@ -2,7 +2,7 @@
 // flips a dispatched topology into draining mode - tasks not yet started
 // skip their work, running tasks can poll tf::this_task::is_cancelled(),
 // and the completion future becomes ready normally (no exception).
-// Parameterized over both pluggable executors.
+// Parameterized over both scheduling disciplines of backends.hpp.
 #include "taskflow/taskflow.hpp"
 
 #include <gtest/gtest.h>
@@ -13,15 +13,14 @@
 #include <string>
 #include <thread>
 
+#include "backends.hpp"
+
 namespace {
 
 class CancelModel : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -170,7 +169,7 @@ TEST_P(CancelModel, CancelDuringSubflowStorm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, CancelModel,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

@@ -16,6 +16,8 @@
 #include <string>
 #include <thread>
 
+#include "backends.hpp"
+
 using namespace std::chrono_literals;
 
 namespace {
@@ -38,10 +40,7 @@ struct GateOpener {
 class Composition : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -337,7 +336,7 @@ TEST_P(Composition, RuntimeAssembledRecursionHitsTheDepthCap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, Composition,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include <string>
 #include <thread>
 
+#include "backends.hpp"
+
 using namespace std::chrono_literals;
 
 namespace {
@@ -25,10 +27,7 @@ constexpr auto kDeadline = std::chrono::seconds(30);
 class Condition : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -373,7 +372,7 @@ TEST_P(Condition, DeadlineExpiryBreaksTheLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, Condition,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

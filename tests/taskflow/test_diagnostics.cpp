@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -212,8 +213,8 @@ TEST(StallReport, DispatchedRunsAreClientsOfThePrivateExecutor) {
   tf.wait_for_all();
 }
 
-TEST(StallReport, CoversSimpleExecutorAndCancelledState) {
-  tf::Taskflow tf(std::make_shared<tf::SimpleExecutor>(2));
+TEST(StallReport, CoversCustomBackendAndCancelledState) {
+  tf::Taskflow tf(std::make_shared<tf_test::CustomBackend>());
   std::atomic<bool> gate{false};
   std::atomic<bool> started{false};
   tf.emplace([&] {
@@ -222,7 +223,8 @@ TEST(StallReport, CoversSimpleExecutorAndCancelledState) {
   });
   auto handle = tf.dispatch();
   while (!started.load()) std::this_thread::yield();
-  EXPECT_NE(tf.stall_report().find("\nbackend simple\n"), std::string::npos);
+  // A backend that does not override stats() reports the default snapshot.
+  EXPECT_NE(tf.stall_report().find("\nbackend custom\n"), std::string::npos);
   handle.cancel();
   const std::string report = tf.stall_report();
   EXPECT_NE(report.find("[draining: cancelled]"), std::string::npos) << report;

@@ -3,7 +3,8 @@
 // captured per topology, remaining tasks are skipped while the topology
 // drains its bookkeeping, and the exception rethrows from the dispatch
 // handle, run() handle, and wait_for_all().  Parameterized over both
-// pluggable executors so the semantics cannot diverge between them.
+// scheduling disciplines of backends.hpp so the semantics cannot diverge
+// between them.
 #include "taskflow/taskflow.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+
+#include "backends.hpp"
 
 namespace {
 
@@ -24,10 +27,7 @@ struct TaskError : std::runtime_error {
 class ErrorModel : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -255,7 +255,7 @@ TEST(ErrorState, DeadlineFiringAfterFinishLosesTheCapture) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, ErrorModel,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

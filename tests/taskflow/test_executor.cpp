@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "backends.hpp"
 
 namespace {
 
@@ -115,17 +119,26 @@ TEST(Executor, SharedAcrossTaskflows) {
   EXPECT_EQ(executor->num_workers(), 4u);
 }
 
-TEST(Executor, SimpleExecutorRunsGraphsCorrectly) {
-  auto executor = std::make_shared<tf::SimpleExecutor>(4);
+// A backend outside the library: it implements only schedule_batch and
+// num_workers, and the run's middle task fails twice before it succeeds, so
+// the timer thread re-enqueues it through schedule_batch after each backoff.
+TEST(Executor, CustomBackendRunsGraphsCorrectly) {
+  auto executor = std::make_shared<tf_test::CustomBackend>();
   tf::Taskflow tf(executor);
   std::atomic<int> order_errors{0};
   std::atomic<int> stage{0};
+  std::atomic<int> attempts{0};
   auto A = tf.emplace([&] {
     if (stage.exchange(1) != 0) order_errors++;
   });
   auto B = tf.emplace([&] {
+    if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
     if (stage.exchange(2) != 1) order_errors++;
   });
+  tf::RetryPolicy retry;
+  retry.max_attempts = 3;  // retry(2) with a backoff
+  retry.backoff = std::chrono::milliseconds(1);
+  B.retry(retry);
   auto C = tf.emplace([&] {
     if (stage.exchange(3) != 2) order_errors++;
   });
@@ -134,10 +147,11 @@ TEST(Executor, SimpleExecutorRunsGraphsCorrectly) {
   tf.wait_for_all();
   EXPECT_EQ(order_errors.load(), 0);
   EXPECT_EQ(stage.load(), 3);
+  EXPECT_EQ(attempts.load(), 3);
 }
 
-TEST(Executor, SimpleExecutorSubflows) {
-  auto executor = std::make_shared<tf::SimpleExecutor>(2);
+TEST(Executor, CustomBackendSubflows) {
+  auto executor = std::make_shared<tf_test::CustomBackend>();
   tf::Taskflow tf(executor);
   std::atomic<int> counter{0};
   auto B = tf.emplace([&](tf::SubflowBuilder& sf) {

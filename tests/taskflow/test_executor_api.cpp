@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
+
 namespace {
 
 using namespace std::chrono_literals;
@@ -32,10 +34,7 @@ struct Boom : std::runtime_error {
 class ExecutorApi : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] static std::shared_ptr<tf::ExecutorInterface> backend(std::size_t n) {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
   [[nodiscard]] static tf::Executor make(std::size_t n = 4) {
     return tf::Executor(backend(n));
@@ -620,7 +619,7 @@ TEST_P(ExecutorApi, ShedHeadHandsItsQueueToTheNextRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ExecutorApi,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

@@ -8,6 +8,8 @@
 
 #include <atomic>
 
+#include "backends.hpp"
+
 namespace {
 
 struct MatrixParam {
@@ -107,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(info.param.wake_probability * 64));
     });
 
-// Cross-kind comparison: the SimpleExecutor must agree with work stealing
-// on a deterministic pipeline computation.
+// Cross-kind comparison: a backend outside the library must agree with work
+// stealing on a deterministic pipeline computation.
 TEST(ExecutorKinds, PipelineResultIdentical) {
   auto run = [](std::shared_ptr<tf::ExecutorInterface> executor) {
     tf::Taskflow tf(std::move(executor));
@@ -125,7 +127,7 @@ TEST(ExecutorKinds, PipelineResultIdentical) {
     return stages.back();
   };
   const double a = run(tf::make_executor(4));
-  const double b = run(std::make_shared<tf::SimpleExecutor>(4));
+  const double b = run(std::make_shared<tf_test::CustomBackend>());
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_DOUBLE_EQ(a, 2.0 * 3 * 4 * 5 * 6 * 7);
 }

@@ -1,6 +1,6 @@
 // Fault-injection harness (ISSUE 2): randomized DAGs where tasks throw and
 // runs get cancelled mid-flight, stressing the drain/skip paths under heavy
-// fan-out and subflow spawning on both executors.  Deterministic per seed:
+// fan-out and subflow spawning on both backends.  Deterministic per seed:
 //   REPRO_FAULT_ITERS  iterations per executor kind (default 30)
 //   REPRO_FAULT_SEED   base seed (default 42)
 // Every wait is bounded so a scheduler bug fails the test instead of
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 
@@ -35,16 +36,13 @@ constexpr auto kDrainDeadline = 120s;
 class FaultModel : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 
-  /// Per-(kind, iteration) stream so both executors replay identical graphs
+  /// Per-(kind, iteration) stream so both backends replay identical graphs
   /// for a given seed, yet iterations stay decorrelated.
   [[nodiscard]] static support::Xoshiro256 stream(int iteration) {
-    const std::uint64_t kind = std::string(GetParam()) == "simple" ? 1 : 0;
+    const std::uint64_t kind = std::string(GetParam()) == "nocache_steal0" ? 1 : 0;
     return support::Xoshiro256(support::repro_fault_seed() +
                                0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(iteration) +
                                kind);
@@ -604,7 +602,7 @@ TEST_P(FaultModel, AllocFailureDuringModuleInstantiationReachesTheFuture) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, FaultModel,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
+
 namespace {
 
 using namespace std::chrono_literals;
@@ -46,10 +48,7 @@ void spin_until_cancelled() {
 class ResilienceModel : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 4) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -247,7 +246,7 @@ TEST_P(ResilienceModel, ThrowingFallbackSurfacesItsOwnError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, ResilienceModel,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "backends.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 
@@ -47,10 +48,7 @@ struct GateOpener {
 class ShutdownStorm : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::shared_ptr<tf::ExecutorInterface> make(std::size_t n = 2) const {
-    if (std::string(GetParam()) == "simple") {
-      return std::make_shared<tf::SimpleExecutor>(n);
-    }
-    return tf::make_executor(n);
+    return tf_test::make_backend(GetParam(), n);
   }
 };
 
@@ -325,7 +323,7 @@ TEST_P(ShutdownStorm, MidStormShutdownAccountsEveryHandle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ShutdownStorm,
-                         ::testing::Values("work_stealing", "simple"),
+                         ::testing::Values("work_stealing", "nocache_steal0"),
                          [](const auto& info) { return std::string(info.param); });
 
 }  // namespace

@@ -456,7 +456,9 @@ def run_asan(asan_dir):
 
 def compare_record(record_path, benches, build_dir, threshold):
     """Re-run `benches` and compare against one committed record; returns
-    (compared, regressions) where regressions is a list of (name, delta)."""
+    (compared, regressions) where regressions is a list of (name, delta).
+    Exits non-zero when a recorded row did not run (its binary is not built
+    or the bench is gone), so the gate never passes on fewer rows."""
     try:
         with open(record_path) as f:
             record = json.load(f)
@@ -471,7 +473,8 @@ def compare_record(record_path, benches, build_dir, threshold):
         current.update(run_google_bench(build_dir, name))
 
     regressions, compared = [], 0
-    width = max((len(n) for n in current), default=0)
+    missing = sorted(set(recorded) - set(current))
+    width = max((len(n) for n in list(current) + missing), default=0)
     print(f"\ncomparing against {record_path} "
           f"(label: {record.get('label', '?')}, "
           f"threshold: +{threshold:.0f}%)")
@@ -488,6 +491,11 @@ def compare_record(record_path, benches, build_dir, threshold):
         print(f"  {name:<{width}}  {recorded[name]['real_time_ms']:10.4f} ms"
               f" -> {current[name]['real_time_ms']:10.4f} ms"
               f"  {delta:+6.1f}%  {verdict}")
+    for name in missing:
+        print(f"  {name:<{width}}  (recorded, did not run)")
+    if missing:
+        sys.exit(f"error: {len(missing)} recorded bench(es) of {record_path} "
+                 f"did not run: {', '.join(missing)}")
     if compared == 0:
         sys.exit(f"error: no benchmark overlaps with {record_path}")
     return compared, regressions
