@@ -22,21 +22,6 @@ void throw_if_cyclic(Graph& graph, const char* origin) {
   }
 }
 
-// Any knob set makes the executor route submissions through the admission
-// layer; all-defaults keeps the PR 3 unbounded path, which takes no
-// admission lock.
-bool admission_enabled(const ExecutorOptions& options) {
-  return options.max_pending_topologies != 0 ||
-         options.max_pending_per_client != 0 || options.shed_watermark != 0 ||
-         options.max_concurrent_topologies != 0 || options.breaker_threshold != 0;
-}
-
-int clamp_band(int priority) {
-  return priority < 0 ? 0
-         : priority >= kNumPriorities ? kNumPriorities - 1
-                                      : priority;
-}
-
 }  // namespace
 
 namespace detail {
@@ -101,20 +86,16 @@ class AsyncRunPool {
 // ---------------------------------------------------------------------------
 
 Executor::Executor(std::size_t num_workers, ExecutorOptions options)
-    : _backend(std::make_shared<WorkStealingExecutor>(num_workers)),
-      _options(options),
-      _admission_active(admission_enabled(options)),
-      _async_pool(std::make_unique<detail::AsyncRunPool>()) {
-  if (_options.fairness_quantum == 0) _options.fairness_quantum = 1;
-}
+    : Executor(std::make_shared<WorkStealingExecutor>(num_workers), options) {}
 
 Executor::Executor(std::shared_ptr<ExecutorInterface> backend, ExecutorOptions options)
     : _backend(std::move(backend)),
-      _options(options),
-      _admission_active(admission_enabled(options)),
+      _admission_active(detail::Admission::enabled(options)),
+      _admission(options),
+      _shed_error(std::make_exception_ptr(OverloadError(
+          "run load-shed: executor pending depth exceeded the shed watermark"))),
       _async_pool(std::make_unique<detail::AsyncRunPool>()) {
   if (_backend == nullptr) _backend = std::make_shared<WorkStealingExecutor>();
-  if (_options.fairness_quantum == 0) _options.fairness_quantum = 1;
 }
 
 Executor::~Executor() { shutdown(ShutdownMode::drain); }
@@ -139,86 +120,80 @@ std::optional<ExecutionHandle> Executor::try_run(Taskflow& taskflow, RunPolicy p
 std::optional<ExecutionHandle> Executor::try_run_n(Taskflow& taskflow, std::size_t n,
                                                    RunPolicy policy) {
   bool rejected = false;
-  auto topology = submit(taskflow, n, nullptr, policy, /*nothrow=*/true, &rejected);
+  auto topology = submit(taskflow, n, nullptr, policy, &rejected);
   if (rejected) return std::nullopt;
   // nullptr without rejection = empty submission: an engaged ready handle.
   return handle_of(topology);
 }
 
-void Executor::throw_if_shutdown() const {
-  if (_shutdown.load(std::memory_order_acquire)) {
-    throw ShutdownError("executor is shut down: new submissions are rejected");
-  }
-}
-
 std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
                                            std::function<bool()> stop,
-                                           RunPolicy policy, bool nothrow,
-                                           bool* rejected) {
-  if (_shutdown.load(std::memory_order_acquire)) {
-    if (nothrow) {
-      if (rejected != nullptr) *rejected = true;
-      return nullptr;
-    }
-    throw ShutdownError("executor is shut down: new submissions are rejected");
-  }
-  if (taskflow.graph().empty() || n == 0) return nullptr;
-
+                                           RunPolicy policy, bool* rejected) {
   // Phase 1: admission (DESIGN.md §11).  Block/reject per the policy before
   // any allocation; the lock is held across phase 2 so the charged pending
   // slot cannot be shed or stolen between the verdict and the push.
-  const int band = clamp_band(policy.priority);
+  detail::RunQueue& queue = *taskflow._queue;
   std::unique_lock<std::mutex> adm(_adm_mutex, std::defer_lock);
-  bool claimed_probe = false;
-  if (_admission_active) {
+  detail::Admission::Run record;  // the run's admission record, copied into it
+  auto verdict = detail::Admission::Verdict::admitted;
+  bool shut = _shutdown.load(std::memory_order_acquire);
+  if (!shut && (taskflow.graph().empty() || n == 0)) return nullptr;
+  if (!shut && _admission_active) {
     adm.lock();
-    const RejectReason why = admit_locked(adm, taskflow, policy, nothrow, claimed_probe);
-    if (why != RejectReason::none) {
-      adm.unlock();
-      if (why != RejectReason::shutdown) {
-        // A shutdown rejection is NOT an overload signal: no rejected-counter
-        // bump, so the two stay distinguishable.
-        _adm_rejected.fetch_add(1, std::memory_order_relaxed);
+    auto now = std::chrono::steady_clock::now();
+    const auto wait_deadline = now + policy.admission_timeout;
+    const bool bounded_wait = policy.admission_timeout.count() > 0;
+    // An open breaker fails fast.  At capacity, try_run never waits; a
+    // reject policy fails fast; a block policy waits for the completion/
+    // shed side to free capacity (bounded by admission_timeout when one was
+    // given), then re-evaluates shutdown, breaker and capacity.
+    const bool may_wait = rejected == nullptr && policy.admission == AdmissionPolicy::block;
+    while (!(shut = _shutdown.load(std::memory_order_acquire))) {
+      verdict = _admission.admit(record, queue.id, policy.priority, taskflow.graph().size(), now);
+      if (verdict != detail::Admission::Verdict::full || !may_wait ||
+          (bounded_wait && now >= wait_deadline)) {
+        break;
       }
-      if (nothrow) {
-        if (rejected != nullptr) *rejected = true;
-        return nullptr;
+      if (bounded_wait) {
+        _adm_cv.wait_until(adm, wait_deadline);
+      } else {
+        _adm_cv.wait(adm);
       }
-      switch (why) {
-        case RejectReason::shutdown:
-          throw ShutdownError("executor is shut down: new submissions are rejected");
-        case RejectReason::breaker_open:
-          throw BreakerOpenError(
-              "circuit breaker open: recent runs of this taskflow kept failing");
-        default:
-          throw OverloadError("executor overloaded: admission capacity exhausted");
-      }
+      now = std::chrono::steady_clock::now();
     }
+  }
+  if (shut || verdict != detail::Admission::Verdict::admitted) {
+    if (adm.owns_lock()) adm.unlock();
+    // A shutdown rejection is NOT an overload signal: no rejected-counter
+    // bump, so the two stay distinguishable.
+    if (!shut) _adm_rejected.fetch_add(1, std::memory_order_relaxed);
+    if (rejected != nullptr) {
+      *rejected = true;
+      return nullptr;
+    }
+    if (shut) throw ShutdownError("executor is shut down: new submissions are rejected");
+    if (verdict == detail::Admission::Verdict::breaker_open) {
+      throw BreakerOpenError("circuit breaker open: recent runs of this taskflow kept failing");
+    }
+    throw OverloadError("executor overloaded: admission capacity exhausted");
   }
 
   // Phase 2: every step that can throw (allocation, the cycle check, the
-  // first timer start, the ready-ring push) runs before the push that makes
-  // the run visible, inside one rollback: a failed submission leaves no
-  // admission charge, timer or ring entry behind.
-  detail::RunQueue& queue = *taskflow._queue;
+  // first timer start) runs before the push that makes the run visible,
+  // inside one rollback: a failed submission leaves no admission charge or
+  // timer behind.
   std::shared_ptr<Topology> topology;
   std::unique_lock<std::mutex> queue_lock;
-  bool start_now = false;
+  bool head = false;
   try {
-    topology = std::make_shared<Topology>(&taskflow.graph());
+    topology = std::make_shared<Topology>(&taskflow.graph(), record);
     topology->_client = this;
     topology->_queue = taskflow._queue;
     topology->_remaining = n;
     topology->_stop_pred = std::move(stop);
-    topology->_priority = band;
-    if (_admission_active) {
-      topology->_admit = Topology::AdmitState::queued;
-      topology->_cost = std::max<std::size_t>(1, taskflow.graph().size());
-      topology->_breaker_probe = claimed_probe;
-    }
 
     queue_lock = std::unique_lock(queue.mutex);
-    const bool head = queue.empty();
+    head = queue.empty();
     // An empty queue means no run of this taskflow is queued or in flight on
     // any executor, so the cycle check (which scratches the graph's join
     // counters) cannot race task execution.  Queued resubmissions skip the
@@ -231,14 +206,6 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     // timer-id write can never race it.  The budget starts now - FIFO queue
     // time counts.
     if (policy.timeout.count() > 0) arm_deadline(*topology, policy);
-    if (_admission_active && _options.shed_watermark > 0) {
-      // Make room for phase 3's shed-stack push, so nothing after the queue
-      // push allocates.
-      auto& stack = _adm_shed_stack[band];
-      if (stack.size() == stack.capacity()) stack.reserve(2 * stack.size() + 16);
-    }
-    if (head) start_now = take_head_locked(topology);
-    queue.push(topology);
   } catch (...) {
     if (queue_lock.owns_lock()) queue_lock.unlock();
     if (topology != nullptr) {
@@ -248,12 +215,13 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       topology->finish();
     }
     if (_admission_active) {
-      unadmit_locked(taskflow, claimed_probe);
+      _admission.withdraw(record);
       _adm_cv.notify_all();
       adm.unlock();
     }
     throw;
   }
+  queue.push(topology);
   // Count under the queue lock: the completion-side decrement pops under
   // this lock first, so it can never overtake this increment.
   _num_topologies.fetch_add(1, std::memory_order_relaxed);
@@ -261,260 +229,64 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
 
   if (!_admission_active) {
     // The zero-policy hot path: byte-for-byte the pre-admission behavior.
-    if (start_now) start(*topology);
+    if (head) start(*topology);
     return topology;
   }
 
-  // Phase 3: shed decisions, still under the admission lock.
-  _adm_admitted.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::shared_ptr<Topology>> shed_victims;
-  std::vector<std::shared_ptr<Topology>> heads;
-  if (_options.shed_watermark > 0) {
-    // Track the run as a shed candidate (lowest band pops first, newest
-    // first within a band), pruning entries of finished/started runs once
-    // they clearly dominate.
-    _adm_shed_stack[band].push_back(topology);
-    std::size_t stacked = 0;
-    for (const auto& stack : _adm_shed_stack) stacked += stack.size();
-    if (stacked > 2 * _adm_pending + 64) {
-      for (auto& stack : _adm_shed_stack) {
-        std::erase_if(stack, [](const std::shared_ptr<Topology>& t) {
-          return t->_admit != Topology::AdmitState::queued;
-        });
-      }
-    }
-    if (_adm_pending > _options.shed_watermark) {
-      shed_to_watermark_locked(shed_victims, heads);
-    }
+  // Phase 3, still under the admission lock and allocation-free: the head
+  // step, then the shed step.  A victim leaves its queue here; the run
+  // behind a shed head becomes the head and is handed on below.
+  const bool start_now = head && _admission.head(*topology);
+  std::shared_ptr<Topology> victim, handed;
+  if (detail::Admission::Run* shed = _admission.shed(*topology)) {
+    Topology& run = static_cast<Topology&>(*shed);
+    detail::RunQueue& victim_queue = *run._queue;
+    std::scoped_lock victim_lock(victim_queue.mutex);
+    const bool was_head = victim_queue.head.get() == &run;
+    victim = victim_queue.erase(run);
+    if (was_head) handed = victim_queue.head;
+    _adm_cv.notify_all();  // capacity freed
   }
   adm.unlock();
 
   if (start_now) start(*topology);
-  for (auto& victim : shed_victims) finish_shed(victim);
-  for (auto& head : heads) owner_of(*head).take_head(head);
+  if (victim != nullptr) finish_shed(*victim);
+  if (handed != nullptr) handed->_client->take_head(handed);
   return topology;
 }
 
-Executor::RejectReason Executor::admit_locked(std::unique_lock<std::mutex>& adm,
-                                              const Taskflow& taskflow,
-                                              RunPolicy policy, bool nothrow,
-                                              bool& claimed_probe) {
-  const bool bounded_wait = policy.admission_timeout.count() > 0;
-  const auto wait_deadline =
-      std::chrono::steady_clock::now() + policy.admission_timeout;
-  for (;;) {
-    if (_shutdown.load(std::memory_order_acquire)) return RejectReason::shutdown;
-    AdmissionClient& ac = _adm_clients[&taskflow];
-    if (_options.breaker_threshold > 0) {
-      // Fail fast while open-and-cooling or while the half-open probe is
-      // out; an elapsed cooldown falls through and claims the probe below.
-      if (ac.breaker == AdmissionClient::Breaker::open &&
-          std::chrono::steady_clock::now() <
-              ac.opened_at + _options.breaker_cooldown) {
-        return RejectReason::breaker_open;
-      }
-      if (ac.breaker == AdmissionClient::Breaker::half_open && ac.probe_in_flight) {
-        return RejectReason::breaker_open;
-      }
-    }
-    const bool full = (_options.max_pending_topologies != 0 &&
-                       _adm_pending >= _options.max_pending_topologies) ||
-                      (_options.max_pending_per_client != 0 &&
-                       ac.pending >= _options.max_pending_per_client);
-    if (!full) {
-      if (_options.breaker_threshold > 0 &&
-          ac.breaker != AdmissionClient::Breaker::closed) {
-        ac.breaker = AdmissionClient::Breaker::half_open;
-        ac.probe_in_flight = true;
-        claimed_probe = true;
-      }
-      ++_adm_pending;
-      ++ac.pending;
-      return RejectReason::none;
-    }
-    // At capacity.  try_run never waits; a reject policy fails fast; a
-    // block policy waits for the completion/shed side to free capacity
-    // (bounded by admission_timeout when one was given).
-    if (nothrow || policy.admission == AdmissionPolicy::reject) {
-      return RejectReason::overload;
-    }
-    if (bounded_wait) {
-      if (std::chrono::steady_clock::now() >= wait_deadline) {
-        return RejectReason::overload;
-      }
-      _adm_cv.wait_until(adm, wait_deadline);
-    } else {
-      _adm_cv.wait(adm);
-    }
-    // Loop: re-evaluate shutdown, breaker, and capacity after every wake
-    // (the map reference may have been invalidated by a rehash meanwhile).
-  }
-}
-
-void Executor::unadmit_locked(const Taskflow& taskflow, bool claimed_probe) {
-  auto it = _adm_clients.find(&taskflow);
-  if (it != _adm_clients.end()) {
-    if (it->second.pending > 0) --it->second.pending;
-    if (claimed_probe) it->second.probe_in_flight = false;
-  }
-  if (_adm_pending > 0) --_adm_pending;
-}
-
-void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start) {
-  const std::size_t limit = _options.max_concurrent_topologies;
-  for (int band = kNumPriorities - 1; band >= 0 && _adm_started < limit; --band) {
-    auto& ring = _adm_ready[band];
-    std::size_t fruitless = 0;  // consecutive visits that dispatched nothing
-    while (_adm_started < limit && !ring.empty()) {
-      Topology& head = *ring.front();
-      std::size_t& deficit = _adm_clients.at(head._queue->owner).deficit;  // pending
-      if (deficit < head._cost) {
-        deficit += _options.fairness_quantum;
-        if (deficit < head._cost) {
-          if (++fruitless < ring.size()) {
-            ring.push_back(std::move(ring.front()));  // rotate: cheaper heads go first
-            ring.pop_front();
-            continue;
-          }
-          // A full fruitless lap: force progress - work conservation beats
-          // idling the slot because every queued head is "too expensive".
-          deficit = head._cost;
-        }
-      }
-      deficit -= head._cost;
-      head._admit = Topology::AdmitState::started;
-      ++_adm_started;
-      to_start.push_back(std::move(ring.front()));
-      ring.pop_front();
-      fruitless = 0;
-    }
-  }
-}
-
-bool Executor::take_head_locked(const std::shared_ptr<Topology>& head) {
-  if (!_admission_active) return true;
-  if (head->_admit != Topology::AdmitState::queued) return false;  // shed meanwhile
-  const std::size_t limit = _options.max_concurrent_topologies;
-  const bool others_wait = std::any_of(std::begin(_adm_ready), std::end(_adm_ready),
-                                       [](const auto& ring) { return !ring.empty(); });
-  if (limit == 0 || (_adm_started < limit && !others_wait)) {
-    ++_adm_started;
-    head->_admit = Topology::AdmitState::started;
-    return true;
-  }
-  // A contended slot goes through the DRR / priority arbiter
-  // (dispatch_ready_locked): a direct start would let a deep-queued hot
-  // client monopolize the slot its previous run just freed.
-  _adm_ready[head->_priority].push_back(head);
-  return false;
-}
-
 void Executor::take_head(const std::shared_ptr<Topology>& head) {
-  std::unique_lock adm = _admission_active ? std::unique_lock(_adm_mutex)
-                                           : std::unique_lock<std::mutex>();
-  if (!take_head_locked(head)) return;
-  if (adm.owns_lock()) adm.unlock();
+  if (_admission_active) {
+    std::scoped_lock adm(_adm_mutex);
+    if (!_admission.head(*head)) return;
+  }
   // Once started, the run may finish and this executor be destroyed before
   // schedule_batch returns: the backend must outlive the call.
   const std::shared_ptr<ExecutorInterface> backend = _backend;
   start(*head);
 }
 
-void Executor::shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims,
-                                        std::vector<std::shared_ptr<Topology>>& heads) {
-  while (_adm_pending > _options.shed_watermark) {
-    std::shared_ptr<Topology> victim;
-    for (int band = 0; band < kNumPriorities && victim == nullptr; ++band) {
-      auto& stack = _adm_shed_stack[band];
-      while (!stack.empty()) {
-        if (stack.back()->_admit == Topology::AdmitState::queued) {
-          victim = std::move(stack.back());
-          stack.pop_back();
-          break;
-        }
-        stack.pop_back();  // started / finished meanwhile: prune in passing
-      }
-    }
-    if (victim == nullptr) break;  // everything pending has already started
-    detail::RunQueue& queue = *victim->_queue;
-    bool was_head = false;
-    {
-      std::scoped_lock queue_lock(queue.mutex);
-      was_head = queue.erase(*victim);
-      // The run behind a shed head becomes the head: hand it on.
-      if (was_head && !queue.empty()) heads.push_back(queue.head);
-    }
-    if (was_head) {
-      // A head waiting for a slot leaves its ring (one mid-hand-over is in
-      // none).
-      auto& ring = _adm_ready[victim->_priority];
-      if (auto pos = std::find(ring.begin(), ring.end(), victim); pos != ring.end()) {
-        ring.erase(pos);
-      }
-    }
-    victim->_admit = Topology::AdmitState::shed;
-    --_adm_pending;
-    auto it = _adm_clients.find(queue.owner);
-    if (it != _adm_clients.end() && it->second.pending > 0) --it->second.pending;
-    if (victim->_breaker_probe) {
-      // A shed probe must not wedge the breaker half-open forever.
-      victim->_breaker_probe = false;
-      if (it != _adm_clients.end()) it->second.probe_in_flight = false;
-    }
-    victims.push_back(std::move(victim));
-  }
-  if (!victims.empty()) _adm_cv.notify_all();  // capacity freed
-}
-
-void Executor::finish_shed(const std::shared_ptr<Topology>& victim) {
-  disarm_deadline(*victim);
+void Executor::finish_shed(Topology& victim) {
+  disarm_deadline(victim);
   // First-writer capture: a deadline that expired while the run was queued
-  // keeps its TimeoutError (queue time counts as timeout, not shed) — the
+  // keeps its TimeoutError (queue time counts as timeout, not shed) - the
   // shed counter tracks only runs that observably complete as shed, i.e.
   // whose handle will report the OverloadError.
-  const bool won = victim->error_state()->capture(std::make_exception_ptr(
-      OverloadError("run load-shed: executor pending depth exceeded the shed "
-                    "watermark")));
-  if (won) _adm_shed.fetch_add(1, std::memory_order_relaxed);
+  if (victim.error_state()->capture(_shed_error)) {
+    _adm_shed.fetch_add(1, std::memory_order_relaxed);
+  }
   {
     std::scoped_lock lock(_done_mutex);
     _num_topologies.fetch_sub(1, std::memory_order_relaxed);
     _done_cv.notify_all();
   }
-  victim->finish();
-}
-
-void Executor::breaker_update_locked(const Taskflow* taskflow, Topology& topology) {
-  auto it = _adm_clients.find(taskflow);
-  if (it == _adm_clients.end()) return;
-  AdmissionClient& ac = it->second;
-  if (topology._breaker_probe) {
-    topology._breaker_probe = false;
-    ac.probe_in_flight = false;
-  }
-  // Failure = the run completed with a stored exception (task error or
-  // deadline).  A cancelled or fallback-degraded run completes cleanly and
-  // counts as success.
-  if (topology.exception() != nullptr) {
-    if (ac.breaker == AdmissionClient::Breaker::half_open ||
-        (ac.breaker == AdmissionClient::Breaker::closed &&
-         ++ac.consecutive_failures >= _options.breaker_threshold)) {
-      ac.breaker = AdmissionClient::Breaker::open;
-      ac.opened_at = std::chrono::steady_clock::now();
-      ac.consecutive_failures = 0;
-      _adm_breaker_trips.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    ac.consecutive_failures = 0;
-    if (ac.breaker != AdmissionClient::Breaker::closed) {
-      ac.breaker = AdmissionClient::Breaker::closed;
-      ac.probe_in_flight = false;
-    }
-  }
+  victim.finish();
 }
 
 void Executor::submit_async(StaticWork&& work) {
-  throw_if_shutdown();
+  if (_shutdown.load(std::memory_order_acquire)) {
+    throw ShutdownError("executor is shut down: new submissions are rejected");
+  }
   // Reuse a retired box when one is pooled: its graph arena already holds a
   // node-sized slab and its topology was reset at release, so the steady
   // state of an async storm allocates nothing.
@@ -599,38 +371,24 @@ void Executor::on_topology_done(Topology& topology) {
     next = queue.head;
   }
   disarm_deadline(*self);  // a finished run's timer must not pin its state
-  const bool mine = next != nullptr && &owner_of(*next) == this;
+  const bool mine = next != nullptr && next->_client == this;
   if (_admission_active) {
     // Admission bookkeeping: free the pending + concurrency slots, update
-    // the breaker, and refill free slots from the ready rings.  The queue
-    // lock is already released (lock order: _adm_mutex never nests inside
-    // a RunQueue mutex), and start() runs outside the admission lock.
-    std::vector<std::shared_ptr<Topology>> to_start;
-    {
-      std::scoped_lock adm(_adm_mutex);
-      if (_adm_pending > 0) --_adm_pending;
-      if (_adm_started > 0) --_adm_started;
-      if (_options.breaker_threshold > 0) breaker_update_locked(queue.owner, *self);
-      auto it = _adm_clients.find(queue.owner);
-      if (it != _adm_clients.end()) {
-        if (it->second.pending > 0) --it->second.pending;
-        // GC trivial entries so the map tracks active clients and open /
-        // cooling breakers only (breaker state must survive idle periods).
-        if (it->second.pending == 0 && !it->second.probe_in_flight &&
-            it->second.breaker == AdmissionClient::Breaker::closed &&
-            it->second.consecutive_failures == 0) {
-          _adm_clients.erase(it);
-        }
-      }
-      if (mine && take_head_locked(next)) to_start.push_back(next);
-      dispatch_ready_locked(to_start);
-      _adm_cv.notify_all();  // a pending slot freed: wake blocked submitters
-    }
-    for (auto& t : to_start) start(*t);
+    // the breaker, hand the queue to a next run of ours and refill the
+    // slot.  The queue lock is already released (lock order: _adm_mutex
+    // never nests inside a RunQueue mutex), and start() runs outside the
+    // admission lock.
+    std::unique_lock adm(_adm_mutex);
+    detail::Admission::Run* to_start =
+        _admission.finish(*self, self->exception() != nullptr,
+                          std::chrono::steady_clock::now(), mine ? next.get() : nullptr);
+    _adm_cv.notify_all();  // a pending slot freed: wake blocked submitters
+    adm.unlock();
+    if (to_start != nullptr) start(static_cast<Topology&>(*to_start));
   }
   // Without admission control, or to another executor, the hand-over holds
   // none of our locks.
-  if (next != nullptr && (!mine || !_admission_active)) owner_of(*next).take_head(next);
+  if (next != nullptr && (!mine || !_admission_active)) next->_client->take_head(next);
   {
     std::scoped_lock lock(_done_mutex);
     _num_topologies.fetch_sub(1, std::memory_order_relaxed);
@@ -638,6 +396,8 @@ void Executor::on_topology_done(Topology& topology) {
   }
   self->finish();
 }
+
+void Topology::done() { _client->on_topology_done(*this); }
 
 void Executor::register_live(const std::shared_ptr<Topology>& topology) {
   std::scoped_lock lock(_live_mutex);
@@ -713,7 +473,7 @@ void Executor::shutdown(ShutdownMode mode) {
   }
   // Pin every registered run that is still alive.
   // The flag above is already set, so no new run can register concurrently
-  // except one that passed throw_if_shutdown() just before it - that run
+  // except one that passed its shutdown check just before it - that run
   // completes normally and is covered by the counter wait below.
   std::vector<std::shared_ptr<Topology>> live;
   {
@@ -902,20 +662,20 @@ Executor::Metrics Executor::metrics() const {
   m.num_asyncs = num_asyncs();
   m.pending_timers = _backend->timers().num_pending();
   m.admission_active = _admission_active;
-  m.admitted = _adm_admitted.load(std::memory_order_relaxed);
   m.rejected = _adm_rejected.load(std::memory_order_relaxed);
   m.shed = _adm_shed.load(std::memory_order_relaxed);
-  m.breaker_trips = _adm_breaker_trips.load(std::memory_order_relaxed);
-  m.adm_pending_limit = _options.max_pending_topologies;
-  m.adm_started_limit = _options.max_concurrent_topologies;
+  m.adm_pending_limit = options().max_pending_topologies;
+  m.adm_started_limit = options().max_concurrent_topologies;
   m.shutdown = _shutdown.load(std::memory_order_relaxed);
   if (_admission_active) {
     std::scoped_lock adm(_adm_mutex);
-    m.adm_pending = _adm_pending;
-    m.adm_started = _adm_started;
-    for (const auto& ring : _adm_ready) m.adm_waiting_clients += ring.size();
-    for (const auto& [owner, ac] : _adm_clients) {
-      if (ac.breaker != AdmissionClient::Breaker::closed) ++m.breakers_open;
+    m.admitted = _admission.admitted();
+    m.breaker_trips = _admission.trips();
+    m.adm_pending = _admission.pending();
+    m.adm_started = _admission.started();
+    m.adm_waiting_clients = _admission.waiting();
+    for (const auto& [key, client] : _admission.clients()) {
+      if (client.breaker != detail::Admission::Breaker::closed) ++m.breakers_open;
     }
   }
   return m;

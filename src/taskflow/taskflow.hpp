@@ -54,7 +54,7 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -68,6 +68,7 @@
 #include <utility>
 #include <vector>
 
+#include "taskflow/admission.hpp"
 #include "taskflow/executor.hpp"
 #include "taskflow/flow_builder.hpp"
 #include "taskflow/topology.hpp"
@@ -248,56 +249,6 @@ struct RunPolicy {
   int priority{1};
 };
 
-/// Number of RunPolicy::priority bands (0 = lowest .. kNumPriorities-1).
-inline constexpr int kNumPriorities = 3;
-
-/// Admission-control configuration of an Executor (DESIGN.md §11).  Every
-/// knob defaults to off: a default-constructed ExecutorOptions reproduces the
-/// unbounded PR 3 submission behavior exactly, and the executor then skips
-/// the admission layer entirely - the zero-policy hot path takes no extra
-/// lock.
-struct ExecutorOptions {
-  /// Upper bound on graph runs admitted but not yet finished, across all
-  /// clients.  At the bound, run() applies its RunPolicy::admission choice
-  /// (backpressure or OverloadError) and try_run returns std::nullopt.
-  /// 0 = unbounded.
-  std::size_t max_pending_topologies{0};
-
-  /// The same bound per client taskflow, so one hot client saturating its
-  /// own allowance cannot consume the global budget.  0 = unbounded.
-  std::size_t max_pending_per_client{0};
-
-  /// Load-shedding high watermark: whenever the pending count exceeds it,
-  /// admitted-but-not-yet-started runs are shed - lowest priority band
-  /// first, newest first within a band - until the count is back at the
-  /// watermark.  A shed run never executes a task; its future completes
-  /// with tf::OverloadError.  Memory stays bounded under sustained
-  /// overload even with AdmissionPolicy-free submitters.  0 = off.
-  std::size_t shed_watermark{0};
-
-  /// Bound on topologies *started* on the worker pool at once.  Admitted
-  /// runs above it wait in their taskflows' run queues and are dispatched by
-  /// deficit round-robin over clients within strict priority bands, so one
-  /// hot client cannot starve the others.  0 = start at queue head
-  /// immediately (the PR 3 behavior; fairness and priority are then inert).
-  std::size_t max_concurrent_topologies{0};
-
-  /// Deficit-round-robin refill per dispatch visit, in task-node units (a
-  /// run's cost is its graph's node count).  Small quanta interleave
-  /// clients finely; a quantum >= every graph size degrades to plain
-  /// round-robin.
-  std::size_t fairness_quantum{64};
-
-  /// Per-taskflow circuit breaker: after this many consecutive failed runs
-  /// (a run completing with a stored exception; fallback-degraded and
-  /// cancelled runs count as success) the breaker opens and submissions of
-  /// that taskflow fail fast with tf::BreakerOpenError.  After
-  /// `breaker_cooldown` one half-open probe run is admitted: success closes
-  /// the breaker, failure re-opens it for another cooldown.  0 = off.
-  int breaker_threshold{0};
-  std::chrono::nanoseconds breaker_cooldown{std::chrono::seconds(1)};
-};
-
 /// How Executor::shutdown treats work submitted before the call.
 enum class ShutdownMode : unsigned char {
   drain,  // let queued and in-flight runs finish normally
@@ -331,7 +282,7 @@ struct WatchdogOptions {
 /// worker pool.  The executor must outlive all submitted work; the
 /// destructor blocks until everything drained (without rethrowing - task
 /// errors stay observable through the per-run handles).
-class Executor : private detail::TopologyClient {
+class Executor {
  public:
   /// An executor with a private work-stealing backend of `num_workers`
   /// threads (default: hardware concurrency).  `options` configures the
@@ -395,7 +346,7 @@ class Executor : private detail::TopologyClient {
                                            RunPolicy policy = {});
 
   /// The admission-control configuration this executor was built with.
-  [[nodiscard]] const ExecutorOptions& options() const noexcept { return _options; }
+  [[nodiscard]] const ExecutorOptions& options() const noexcept { return _admission.options(); }
 
   /// Start the background watchdog thread: every `options.period` it
   /// samples per-worker progress probes; a worker stuck in one task for
@@ -572,25 +523,7 @@ class Executor : private detail::TopologyClient {
   }
 
  private:
-  /// Per-taskflow admission state of this executor, under _adm_mutex.
-  struct AdmissionClient {
-    std::size_t pending{0};  // admitted, not yet finished/shed
-    std::size_t deficit{0};  // deficit-round-robin credit, in node units
-    int consecutive_failures{0};
-    enum class Breaker : unsigned char { closed, open, half_open } breaker{
-        Breaker::closed};
-    std::chrono::steady_clock::time_point opened_at{};
-    bool probe_in_flight{false};
-  };
-
-  /// Why submit() turned a run away (selects the exception thrown outside
-  /// the admission lock).
-  enum class RejectReason : unsigned char {
-    none,
-    overload,       // at capacity with reject policy / expired wait / try_run
-    breaker_open,   // the taskflow's circuit breaker is open
-    shutdown,       // shutdown() began (NOT an overload: not counted rejected)
-  };
+  friend class Topology;  // Topology::done() calls on_topology_done
 
   /// Enqueue a (n, stop)-repeat run of `taskflow`; nullptr when there is
   /// nothing to do (empty graph or n == 0).  Starts it immediately when the
@@ -600,60 +533,21 @@ class Executor : private detail::TopologyClient {
   /// allocation failure) rolls the submission back: the run is never queued
   /// or counted.  Throws tf::ShutdownError after shutdown() began
   /// and tf::OverloadError / tf::BreakerOpenError per the admission verdict
-  /// - unless `nothrow` (the try_run path), which reports the verdict
-  /// through `rejected` instead and never blocks.
+  /// - unless `rejected` is given (the try_run path): the verdict then lands
+  /// there, and the call never blocks.
   std::shared_ptr<Topology> submit(Taskflow& taskflow, std::size_t n,
                                    std::function<bool()> stop,
-                                   RunPolicy policy = {}, bool nothrow = false,
-                                   bool* rejected = nullptr);
-
-  /// The admission gate of submit(): blocks/rejects per `policy` until the
-  /// run may enter, then charges the pending counters and claims the
-  /// breaker probe when the taskflow is half-open.  Returns the reject
-  /// reason (none = admitted).  Called with _adm_mutex held.
-  RejectReason admit_locked(std::unique_lock<std::mutex>& adm,
-                            const Taskflow& taskflow, RunPolicy policy,
-                            bool nothrow, bool& claimed_probe);
-
-  /// Undo an admit_locked() charge when the submission fails after
-  /// admission (cycle check, allocation failure).  Called with _adm_mutex
-  /// held.
-  void unadmit_locked(const Taskflow& taskflow, bool claimed_probe);
-
-  /// Shed admitted-but-unstarted runs (lowest band first, newest first
-  /// within a band) until the pending count is back at the watermark.
-  /// Called with _adm_mutex held; the victims are completed (OverloadError)
-  /// by the caller outside the lock via finish_shed(), and the runs that
-  /// became heads in `heads` handed on with take_head().
-  void shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims,
-                                std::vector<std::shared_ptr<Topology>>& heads);
+                                   RunPolicy policy = {}, bool* rejected = nullptr);
 
   /// Complete one shed victim outside every lock: disarm its deadline,
-  /// capture OverloadError, decrement the in-flight counters, finish().
-  void finish_shed(const std::shared_ptr<Topology>& victim);
+  /// capture the shared OverloadError, decrement the in-flight counters,
+  /// finish().  Allocates nothing.
+  void finish_shed(Topology& victim);
 
-  /// Fill free concurrency slots from the ready rings: strict priority
-  /// across bands, deficit round-robin across clients within one.  Appends
-  /// the dispatched topologies to `to_start` (the caller start()s them
-  /// outside the lock).  Called with _adm_mutex held.
-  void dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start);
-
-  /// The one "new head" step: `head`, a run of this executor, just became
-  /// its queue's front (submitted to an empty queue, or the run ahead
-  /// finished or was shed).  True: the caller start()s it outside every
-  /// lock - always without admission control, else when a slot is free and
-  /// no other head waits.  Otherwise it joins its band's ready ring, or was
-  /// shed meanwhile (the shed handed the queue on).  Under admission
-  /// control, called with _adm_mutex held.
-  bool take_head_locked(const std::shared_ptr<Topology>& head);
-
-  /// take_head_locked() plus the start, for a caller holding none of this
-  /// executor's locks (another executor's worker, or a shed).
+  /// `head`, a run of this executor, just became its queue's front: start it
+  /// unless Admission::head rings it or it was shed meanwhile.  For a caller
+  /// holding none of this executor's locks (another executor's worker, a shed).
   void take_head(const std::shared_ptr<Topology>& head);
-
-  /// Update `taskflow`'s breaker with a finished run's outcome (a stored
-  /// exception = failure).  Called with _adm_mutex held.
-  void breaker_update_locked(const Taskflow* taskflow, Topology& topology);
 
   /// Type-erased half of async(): boxes `work` into a single-node graph and
   /// schedules it.
@@ -663,13 +557,10 @@ class Executor : private detail::TopologyClient {
   /// sources.
   void start(Topology& topology);
 
-  /// Completion callback (TopologyClient): decides re-arm vs finish, hands
+  /// Completion callback (Topology::done): decides re-arm vs finish, hands
   /// the taskflow's queue to the next pending run, and keeps the in-flight
   /// accounting.  Runs on the worker that retired the last task.
-  void on_topology_done(Topology& topology) final;
-
-  /// Throw tf::ShutdownError when shutdown() already began.
-  void throw_if_shutdown() const;
+  void on_topology_done(Topology& topology);
 
   /// Record a freshly created graph run in the weak shutdown registry
   /// (pruning expired entries when they accumulate).
@@ -689,11 +580,6 @@ class Executor : private detail::TopologyClient {
   /// Watchdog thread body: periodic progress-probe scan.
   void watchdog_loop();
 
-  /// The executor that submitted `topology`: its completion client.
-  [[nodiscard]] static Executor& owner_of(const Topology& topology) noexcept {
-    return static_cast<Executor&>(*topology._client);
-  }
-
   /// Handles carry a weak reference to the backend, whose timer queue
   /// serves cancel_after(); a handle outliving the backend degrades to a
   /// no-op.
@@ -712,23 +598,13 @@ class Executor : private detail::TopologyClient {
   // takes _adm_mutex - never the reverse.  No thread holds two executors'
   // locks: a head is handed to another executor after releasing our own.
   // _done_mutex stays a leaf.
-  ExecutorOptions _options;
   const bool _admission_active{false};  // any knob set? computed once
   mutable std::mutex _adm_mutex;
-  std::condition_variable _adm_cv;          // backpressure + shed wakeups
-  std::size_t _adm_pending{0};              // admitted, not finished/shed
-  std::size_t _adm_started{0};              // started on the worker pool
-  std::unordered_map<const Taskflow*, AdmissionClient> _adm_clients;
-  // Ready rings (one per band) of queue heads waiting for a concurrency
-  // slot, and shed-candidate stacks (newest admitted last; the stacks hold
-  // weak-ish extra refs and are pruned lazily of runs that started or
-  // finished meanwhile).
-  std::deque<std::shared_ptr<Topology>> _adm_ready[kNumPriorities];
-  std::vector<std::shared_ptr<Topology>> _adm_shed_stack[kNumPriorities];
-  std::atomic<std::size_t> _adm_admitted{0};
+  std::condition_variable _adm_cv;  // backpressure + shed wakeups
+  detail::Admission _admission;     // every decision; under _adm_mutex
+  std::exception_ptr _shed_error;  // every victim's, built so a shed allocates nothing
   std::atomic<std::size_t> _adm_rejected{0};
   std::atomic<std::size_t> _adm_shed{0};
-  std::atomic<std::size_t> _adm_breaker_trips{0};
 
   // Weak registry of every submitted graph run.  Completing
   // workers never touch it (their last action must stay finish(); see

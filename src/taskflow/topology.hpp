@@ -15,9 +15,9 @@
 // per-node state and collects source nodes) when the run reaches the head of
 // its taskflow's detail::RunQueue (paper §III-C: a taskflow keeps its own
 // topologies), and may re-arm it for repeated runs (run_n / run_until).  When
-// the live-node counter hits zero the topology notifies its registered
-// detail::TopologyClient - the executor - which decides between re-arming
-// for the next repeat and finishing (fulfilling the promise).
+// the live-node counter hits zero the topology notifies the executor that
+// submitted it, which decides between re-arming for the next repeat and
+// finishing (fulfilling the promise).
 #pragma once
 
 #include <atomic>
@@ -32,6 +32,7 @@
 #include <variant>
 #include <vector>
 
+#include "taskflow/admission.hpp"
 #include "taskflow/error.hpp"
 #include "taskflow/graph.hpp"
 #include "taskflow/timer_queue.hpp"
@@ -44,28 +45,18 @@ class Taskflow;
 class Topology;
 
 namespace detail {
-
 struct RunQueue;
-
-/// Callback target a Topology notifies when a run completes (its live-node
-/// counter reaches zero).  tf::Executor implements this to drive repeat
-/// runs, FIFO queue hand-off, and completion accounting.  The callee may
-/// destroy the topology before returning (async one-shots), so retire_one()
-/// must not touch any member after the call.
-struct TopologyClient {
-  virtual void on_topology_done(Topology& topology) = 0;
-
- protected:
-  ~TopologyClient() = default;
-};
-
 }  // namespace detail
 
-class Topology {
+// The admission record (a private base the topology never reads) lets the
+// executor map the runs detail::Admission hands back to their topologies.
+class Topology : private detail::Admission::Run {
  public:
   /// Borrow `graph`; the caller must keep it alive and un-mutated until
   /// completion.  Does not arm: the executor arms and schedules the topology.
-  explicit Topology(Graph* graph) : _graph(graph) {}
+  /// `admission`: the run's admission record (idle without admission control).
+  explicit Topology(Graph* graph, const detail::Admission::Run& admission = {})
+      : detail::Admission::Run(admission), _graph(graph) {}
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
@@ -140,15 +131,14 @@ class Topology {
   /// 1` further executions.  Callers skip the call entirely when delta == 0
   /// (a task that scheduled exactly one successor - the linear-chain hot
   /// path - leaves the shared counter untouched).  On reaching zero the
-  /// registered client (the executor, which builds every topology) is
-  /// notified - it re-arms for the next repeat or finishes the topology.
-  /// The client may destroy this topology inside the callback, so nothing
-  /// is touched after it returns.
+  /// executor that submitted the topology is notified - it re-arms for the
+  /// next repeat or finishes the topology.  It may destroy this topology
+  /// inside the call, so nothing is touched after it returns.
   void retire_delta(long delta) {
     assert(delta != 0);
     if (_num_active.fetch_add(delta, std::memory_order_acq_rel) + delta == 0) {
       assert(_client != nullptr);
-      _client->on_topology_done(*this);  // may re-arm, finish, or delete *this
+      done();  // may re-arm, finish, or delete *this
     }
   }
 
@@ -190,6 +180,9 @@ class Topology {
   friend class Executor;
   friend struct detail::RunQueue;
 
+  /// Executor::on_topology_done of `_client` (defined in taskflow.cpp).
+  void done();
+
   Graph* _graph{nullptr};
   std::promise<void> _promise;
   std::shared_future<void> _future{_promise.get_future().share()};
@@ -198,27 +191,14 @@ class Topology {
   std::shared_ptr<detail::ErrorState> _state{std::make_shared<detail::ErrorState>()};
 
   // -- executor-managed run state (see Executor::on_topology_done) ---------
-  detail::TopologyClient* _client{nullptr};  // notified at each run completion
-  void* _client_tag{nullptr};                // the AsyncRun box of an async run
+  Executor* _client{nullptr};   // submitted the run; notified at each completion
+  void* _client_tag{nullptr};   // the AsyncRun box of an async run
   // A queued run's taskflow queue (nullptr for an async run) and its links.
   std::shared_ptr<detail::RunQueue> _queue;
   std::shared_ptr<Topology> _next;
   Topology* _prev{nullptr};
   std::size_t _remaining{1};                 // repeats left (run_n)
   std::function<bool()> _stop_pred;          // optional stop test (run_until)
-
-  // -- admission-control state (DESIGN.md §11), written and read only under
-  // -- the owning executor's admission lock after submission ----------------
-  enum class AdmitState : unsigned char {
-    immediate,  // admission control off: PR 3 start-at-queue-head semantics
-    queued,     // admitted, waiting in its taskflow's queue (sheddable)
-    started,    // dispatched onto the worker pool (no longer sheddable)
-    shed,       // load-shed before it started; future completes with OverloadError
-  };
-  AdmitState _admit{AdmitState::immediate};
-  int _priority{1};       // RunPolicy::priority band, clamped
-  std::size_t _cost{1};   // deficit-round-robin cost: node count of the graph
-  bool _breaker_probe{false};  // this run is its taskflow's half-open probe
   // Deadline timer of the run's RunPolicy; withdrawn from the backend's timer
   // queue when the run completes in time (so a finished run's state isn't
   // pinned by it).
@@ -232,9 +212,12 @@ namespace detail {
 /// report reaches a queue through a pinned run) and link through
 /// Topology::_next/_prev, so queueing allocates nothing.  Guarded by `mutex`.
 struct RunQueue {
-  explicit RunQueue(const Taskflow* o) noexcept : owner(o) {}
+  explicit RunQueue(const Taskflow* o) noexcept : owner(o), id(++last_id) {}
 
-  const Taskflow* const owner;  // admission key and stall-report name only
+  const Taskflow* const owner;  // stall-report name only
+  // Admission key: drawn from a process-wide counter, so a taskflow born at
+  // a dead one's address never meets the dead one's admission record.
+  const std::uint64_t id;
   std::mutex mutex;
   std::shared_ptr<Topology> head;  // owns the chain
   Topology* tail{nullptr};
@@ -257,14 +240,14 @@ struct RunQueue {
     return run;
   }
 
-  /// Unlink `run`, wherever it is; true when it was the head.
-  bool erase(Topology& run) noexcept {
-    if (run._prev == nullptr) return pop() != nullptr;  // the head
+  /// Unlink `run`, wherever it is, and return the queue's reference to it.
+  std::shared_ptr<Topology> erase(Topology& run) noexcept {
+    if (run._prev == nullptr) return pop();  // the head
     Topology* const prev = std::exchange(run._prev, nullptr);
-    const std::shared_ptr<Topology> self = std::move(prev->_next);  // == run
+    std::shared_ptr<Topology> self = std::move(prev->_next);  // == run
     prev->_next = std::move(run._next);
     (prev->_next != nullptr ? prev->_next->_prev : tail) = prev;
-    return false;
+    return self;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -272,6 +255,9 @@ struct RunQueue {
     for (const Topology* run = head.get(); run != nullptr; run = run->_next.get()) ++n;
     return n;
   }
+
+ private:
+  static inline std::atomic<std::uint64_t> last_id{0};
 };
 
 }  // namespace detail

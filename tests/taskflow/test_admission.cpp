@@ -614,6 +614,33 @@ TEST(Admission, FallbackDegradedProbeClosesBreaker) {
   EXPECT_EQ(degraded.load(), 2);
 }
 
+TEST(Admission, NewTaskflowAtAReusedAddressStartsClosed) {
+  // Admission records belong to a taskflow's run queue, not to its address:
+  // a taskflow built in the storage of one whose breaker is open must not
+  // inherit that breaker.
+  tf::ExecutorOptions opts;
+  opts.breaker_threshold = 1;
+  opts.breaker_cooldown = 600s;  // long: the dead taskflow's breaker stays open
+  tf::Executor executor(1, opts);
+  std::optional<tf::Taskflow> flow;
+  flow.emplace();
+  flow->emplace([] { throw Boom(); });
+  auto failed = executor.run(*flow);
+  ASSERT_EQ(failed.wait_for(kDeadline), std::future_status::ready);
+  EXPECT_THROW(failed.get(), Boom);
+  EXPECT_THROW((void)executor.run(*flow), tf::BreakerOpenError);
+
+  flow.reset();
+  flow.emplace();  // same storage, a new taskflow that never ran
+  std::atomic<int> ran{0};
+  flow->emplace([&] { ran++; });
+  auto handle = executor.run(*flow);
+  ASSERT_EQ(handle.wait_for(kDeadline), std::future_status::ready);
+  EXPECT_NO_THROW(handle.get());
+  EXPECT_EQ(ran.load(), 1);
+  executor.wait_for_all();
+}
+
 // ---------------------------------------------------------------------------
 // Observability: counters, dump_state.
 // ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ std::size_t warm_allocations(const tf::ExecutorInterface& backend, Op&& op) {
 // exactly.  A warm run(tf).get() allocates the Topology (make_shared), its
 // promise's shared state and result, the ErrorState (make_shared), the
 // _live registry node and the sources vector, which grows with the number
-// of sources.  Admission adds the per-taskflow AdmissionClient entry, which
+// of sources.  Admission adds the client's detail::Admission record, which
 // is dropped when the client drains.  The run queue itself allocates
 // nothing: runs link through the Topology.
 TEST(Alloc, WarmRunAllocationsArePinned) {
@@ -295,11 +295,13 @@ TEST(Alloc, WarmRunAllocationsArePinned) {
 // One submission on a fresh executor, plus the taskflows its runs borrow.
 struct SubmitFixture {
   tf::Taskflow one;
+  tf::Taskflow other;  // a second one-task client
   tf::Taskflow spinner;
   tf::Executor executor;
   explicit SubmitFixture(const tf::ExecutorOptions& options)
       : executor(tf::make_executor(1), options) {
     one.emplace([] {});
+    other.emplace([] {});
     spinner.emplace([] {
       const auto hard_stop = std::chrono::steady_clock::now() + std::chrono::seconds(5);
       while (!tf::this_task::is_cancelled() &&
@@ -317,7 +319,12 @@ struct SubmitFixture {
 // fail: the call then throws
 // std::bad_alloc and leaves nothing queued or counted, or it returns a
 // handle that becomes ready.  Either way a later deadline still fires.
-void sweep_submission_failures(const tf::ExecutorOptions& options) {
+// With `shed`, a spinner holds the one concurrency slot and a band-0 run of
+// another taskflow waits for it, so the swept band-1 submission lifts
+// pending above the watermark and sheds that run.  Nothing after the push -
+// the shed, the victim's OverloadError, its completion - may allocate: the
+// victim completes with OverloadError exactly when the call returned.
+void sweep_submission_failures(const tf::ExecutorOptions& options, bool shed = false) {
   using namespace std::chrono_literals;
   long k = 0;
   for (;; ++k) {
@@ -327,6 +334,13 @@ void sweep_submission_failures(const tf::ExecutorOptions& options) {
     // A worker's first park grows the idler list: let the one worker park
     // so the countdown sees the submission only.
     while (executor.metrics().scheduler.num_idlers < 1) std::this_thread::yield();
+    tf::ExecutionHandle holder, victim;
+    if (shed) {
+      holder = executor.run(fixture->spinner);
+      tf::RunPolicy low;
+      low.priority = 0;
+      victim = executor.run(fixture->other, low);
+    }
     tf::ExecutionHandle handle;
     bool threw = false;
     fail_allocation(k);
@@ -336,11 +350,26 @@ void sweep_submission_failures(const tf::ExecutorOptions& options) {
       threw = true;
     }
     const bool fired = disarm_allocation_failure();
+    if (shed) {
+      // Shed by a call that returned; else it runs once the slot frees.
+      if (!threw && victim.wait_for(2s) != std::future_status::ready) {
+        ADD_FAILURE() << "k=" << k << ": the shed victim never completed";
+      }
+      holder.cancel();
+      EXPECT_EQ(holder.wait_for(2s), std::future_status::ready) << "k=" << k;
+      if (victim.wait_for(2s) == std::future_status::ready) {
+        if (threw) {
+          EXPECT_NO_THROW(victim.get()) << "k=" << k << ": a failed submission shed a run";
+        } else {
+          EXPECT_THROW(victim.get(), tf::OverloadError) << "k=" << k;
+        }
+      }
+    }
     if (!threw) {
       EXPECT_EQ(handle.wait_for(2s), std::future_status::ready) << "k=" << k;
     }
     if (!executor.wait_for_all_for(2s)) {
-      ADD_FAILURE() << "k=" << k << ": the failed submission stayed queued";
+      ADD_FAILURE() << "k=" << k << ": a run stayed queued or in flight";
       // Its destructor would wait forever: leak the wedged executor.
       (void)fixture.release();
       return;
@@ -366,6 +395,13 @@ TEST(Alloc, FailedAdmittedSubmissionLeavesTheExecutorWhole) {
   options.max_concurrent_topologies = 1;
   options.shed_watermark = 4;
   sweep_submission_failures(options);
+}
+
+TEST(Alloc, FailedSheddingSubmissionLeavesTheExecutorWhole) {
+  tf::ExecutorOptions options;
+  options.max_concurrent_topologies = 1;
+  options.shed_watermark = 2;
+  sweep_submission_failures(options, /*shed=*/true);
 }
 
 }  // namespace

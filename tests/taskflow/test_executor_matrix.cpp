@@ -12,11 +12,15 @@
 
 namespace {
 
+// No padding bytes: gtest prints a parameter without PrintTo as its raw
+// bytes, and those bytes are part of the ctest IDs, so every one of them
+// must be defined for the IDs to stay the same from build to build.
 struct MatrixParam {
   int workers;
-  bool cache;
+  int cache;  // bool, widened to fill the word before the double
   double wake_probability;
 };
+static_assert(sizeof(MatrixParam) == 2 * sizeof(int) + sizeof(double));
 
 class ExecutorMatrix : public ::testing::TestWithParam<MatrixParam> {
  protected:
