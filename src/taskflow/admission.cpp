@@ -8,7 +8,8 @@ Admission::Admission(const ExecutorOptions& options) : _options(options) {
   _options.fairness_quantum = std::max<std::size_t>(1, _options.fairness_quantum);
 }
 
-Admission::Verdict Admission::admit(Run& run, std::uint64_t key, int priority,
+Admission::Verdict Admission::admit(Run& run, std::uint64_t key,
+                                    const std::weak_ptr<const void>& owner, int priority,
                                     std::size_t cost, TimePoint now) {
   // A refused submission leaves no record: create one only on admission.
   const auto found = _clients.find(key);
@@ -26,8 +27,20 @@ Admission::Verdict Admission::admit(Run& run, std::uint64_t key, int priority,
       (_options.max_pending_per_client != 0 && client.pending >= _options.max_pending_per_client)) {
     return Verdict::full;
   }
+  const bool created = found == _clients.end();
+  if (created && _clients.size() > 2 * _kept) {
+    // A record can outlive its client (an open breaker, a failure count),
+    // and a dead client's run-queue id never comes back: drop dead clients'
+    // idle records once the map has doubled since the last sweep, an
+    // amortized O(1) per new record.  A pending run pins its record.
+    std::erase_if(_clients, [](const auto& entry) {
+      return entry.second.pending == 0 && entry.second.owner.expired();
+    });
+    _kept = _clients.size();
+  }
   Client& charged = _clients[key];
   charged.key = key;
+  if (created) charged.owner = owner;
   run = Run{&charged, std::max<std::size_t>(1, cost), 0,
             std::clamp(priority, 0, kNumPriorities - 1), Run::State::queued, {}, {}};
   if (charged.breaker != Breaker::closed) {

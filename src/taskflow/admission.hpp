@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 namespace tf {
@@ -75,9 +76,11 @@ class Admission {
   enum class Breaker : unsigned char { closed, open, half_open };
 
   /// One client's state; a record exists only while it holds a pending run,
-  /// an open or half-open breaker, or a failure count.
+  /// an open or half-open breaker, or a failure count, and its client lives
+  /// (a dead client's record goes at a later record creation).
   struct Client {
     std::uint64_t key{0};
+    std::weak_ptr<const void> owner;  // the client; expired once it is gone
     std::size_t pending{0};  // admitted, not yet finished or shed
     std::size_t deficit{0};  // deficit-round-robin credit, in node units
     int failures{0};         // consecutive failed runs while closed
@@ -124,12 +127,13 @@ class Admission {
   /// The configuration, fairness_quantum raised to at least 1.
   [[nodiscard]] const ExecutorOptions& options() const noexcept { return _options; }
 
-  /// A run of client `key` in band `priority` (clamped), costing `cost`
-  /// nodes, asks to enter at `now`.  Admitted: `run` holds the pending charge
-  /// and, when half-open, the probe claim.  Else nothing changed.  Only an
-  /// admission allocates (a new record); on bad_alloc nothing is charged.
-  Verdict admit(Run& run, std::uint64_t key, int priority, std::size_t cost,
-                TimePoint now);
+  /// A run of client `key`, alive while `owner` is, in band `priority`
+  /// (clamped), costing `cost` nodes, asks to enter at `now`.  Admitted:
+  /// `run` holds the pending charge and, when half-open, the probe claim.
+  /// Else nothing changed.  Only an admission allocates (a new record); on
+  /// bad_alloc nothing is charged.
+  Verdict admit(Run& run, std::uint64_t key, const std::weak_ptr<const void>& owner,
+                int priority, std::size_t cost, TimePoint now);
 
   /// Give back the charge of an admitted run that never entered its queue.
   void withdraw(Run& run) noexcept {
@@ -196,6 +200,7 @@ class Admission {
 
   ExecutorOptions _options;
   std::unordered_map<std::uint64_t, Client> _clients;
+  std::size_t _kept{0};      // records left by the last sweep of dead clients
   std::size_t _pending{0};   // admitted, not finished or shed
   std::size_t _started{0};   // holding a concurrency slot
   std::size_t _admitted{0};  // lifetime admissions, net of withdrawals

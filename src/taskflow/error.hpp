@@ -108,7 +108,7 @@ struct ErrorState {
 
   /// Publication protocol for `exception`: 0 = empty, 1 = a winner is
   /// writing, 2 = stored, 3 = closed empty (see close()).  A task always
-  /// captures *before* it retires, and the final retire_one() synchronizes
+  /// captures *before* it retires, and the final retirement synchronizes
   /// with every earlier one (acq_rel RMW chain), so state 2 is visible to
   /// whichever task fulfils the completion promise.
   std::atomic<int> exception_phase{0};

@@ -363,12 +363,4 @@ bool composes_transitively(const Graph& target, const Graph& owner) {
 
 }  // namespace detail
 
-std::size_t Graph::size_recursive() const {
-  std::size_t n = _index.size();
-  for (const Node* node : _index) {
-    if (node->_subgraph) n += node->_subgraph->size_recursive();
-  }
-  return n;
-}
-
 }  // namespace tf

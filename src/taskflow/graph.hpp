@@ -572,9 +572,6 @@ class Graph {
     return const_iterator(_index.data() + _index.size());
   }
 
-  /// Total node count including recursively spawned subgraphs.
-  [[nodiscard]] std::size_t size_recursive() const;
-
   /// Name side table (see Node::name): empty string when unnamed.
   void set_node_name(const Node& node, std::string name);
   [[nodiscard]] const std::string& node_name(const Node& node) const noexcept;

@@ -148,8 +148,10 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     // shed side to free capacity (bounded by admission_timeout when one was
     // given), then re-evaluates shutdown, breaker and capacity.
     const bool may_wait = rejected == nullptr && policy.admission == AdmissionPolicy::block;
+    const std::weak_ptr<const void> owner = taskflow._queue;  // expires with the taskflow
     while (!(shut = _shutdown.load(std::memory_order_acquire))) {
-      verdict = _admission.admit(record, queue.id, policy.priority, taskflow.graph().size(), now);
+      verdict = _admission.admit(record, queue.id, owner, policy.priority,
+                                 taskflow.graph().size(), now);
       if (verdict != detail::Admission::Verdict::full || !may_wait ||
           (bounded_wait && now >= wait_deadline)) {
         break;
@@ -675,7 +677,10 @@ Executor::Metrics Executor::metrics() const {
     m.adm_started = _admission.started();
     m.adm_waiting_clients = _admission.waiting();
     for (const auto& [key, client] : _admission.clients()) {
-      if (client.breaker != detail::Admission::Breaker::closed) ++m.breakers_open;
+      // A dead client's record may wait for the next sweep; its breaker is moot.
+      if (client.breaker != detail::Admission::Breaker::closed && !client.owner.expired()) {
+        ++m.breakers_open;
+      }
     }
   }
   return m;

@@ -142,9 +142,6 @@ class Topology : private detail::Admission::Run {
     }
   }
 
-  /// Internal: retire one execution that scheduled nothing.
-  void retire_one() { retire_delta(-1); }
-
   /// Fulfill the completion promise, delivering the first captured task
   /// exception when there is one.  Called exactly once, after the final run.
   /// It closes the capture window first, so a late deadline cannot

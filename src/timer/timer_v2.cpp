@@ -33,7 +33,14 @@ struct TimerV2::Impl {
   /// True while `taskflow` holds a completely built every-pin graph, which
   /// the next full update replays instead of rebuilding.
   bool holds_full_graph{false};
-  std::string last_dot;
+
+  /// The cone pins and barrier of the graph in `taskflow`, kept while it is
+  /// small enough to dump (`dumpable`): dump_last_task_graph() names its
+  /// tasks from them on demand, so an update never pays for the names.
+  bool dumpable{false};
+  std::vector<int> dump_fwd;
+  std::vector<int> dump_bwd;
+  tf::Task barrier;
 
   // Persistent scratch reused across updates (sized to the pin count once).
   std::vector<tf::Task> fwd_task;
@@ -41,8 +48,8 @@ struct TimerV2::Impl {
   std::vector<char> in_fwd;
   std::vector<char> in_bwd;
 
-  /// Keep a DOT snapshot only for small task graphs (Fig. 8-scale dumps);
-  /// million-task graphs would spend more time printing than timing.
+  /// Dump only small task graphs (Fig. 8-scale dumps); million-task graphs
+  /// would spend more time printing than timing.
   static constexpr std::size_t kDumpLimit = 4096;
 };
 
@@ -85,9 +92,10 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
   Impl& im = *_impl;
   tf::Taskflow& taskflow = im.taskflow;
   taskflow.graph().recycle();
-  Netlist& nl = *_netlist;
-  const bool want_dot = fwd.size() + bwd.size() <= Impl::kDumpLimit;
-  im.last_dot.clear();  // a graph too large to dump leaves none, not a stale one
+  // A graph too large to dump, or one whose build threw, leaves no dump,
+  // not a stale one.
+  im.dumpable = false;
+  im.barrier = {};
 
   // The cone flags vouch for this build's task handles only: clear them on
   // every exit, so an emplace that throws part-way cannot leave a later
@@ -105,10 +113,8 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
   // Forward tasks: one per cone pin, wired along timing arcs inside the cone.
   for (int p : fwd) {
     im.in_fwd[static_cast<std::size_t>(p)] = 1;
-    auto task = taskflow.emplace(
+    im.fwd_task[static_cast<std::size_t>(p)] = taskflow.emplace(
         [this, p] { propagate_pin_forward(*_netlist, _graph, _state, p); });
-    if (want_dot) task.name("fwd:" + nl.pin_name(p));
-    im.fwd_task[static_cast<std::size_t>(p)] = task;
   }
   for (int p : fwd) {
     for (int aid : _graph.fanin(p)) {
@@ -127,7 +133,7 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
     // successor (forward) or in-cone fan-out (backward) is already ordered
     // against the barrier through that chain.
     tf::Task barrier = taskflow.placeholder();
-    if (want_dot) barrier.name("forward/backward");
+    im.barrier = barrier;
     for (int p : fwd) {
       if (!feeds_cone(_graph, im.in_fwd, p)) {
         im.fwd_task[static_cast<std::size_t>(p)].precede(barrier);
@@ -138,10 +144,8 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
 
     for (int p : bwd) {
       im.in_bwd[static_cast<std::size_t>(p)] = 1;
-      auto task = taskflow.emplace(
+      im.bwd_task[static_cast<std::size_t>(p)] = taskflow.emplace(
           [this, p] { propagate_pin_backward(*_netlist, _graph, _state, p); });
-      if (want_dot) task.name("bwd:" + nl.pin_name(p));
-      im.bwd_task[static_cast<std::size_t>(p)] = task;
     }
     for (int p : bwd) {
       tf::Task task = im.bwd_task[static_cast<std::size_t>(p)];
@@ -155,7 +159,11 @@ void TimerV2::build(const std::vector<int>& fwd, const std::vector<int>& bwd) {
     }
   }
 
-  if (want_dot) im.last_dot = taskflow.dump();
+  if (fwd.size() + bwd.size() <= Impl::kDumpLimit) {
+    im.dump_fwd.assign(fwd.begin(), fwd.end());
+    im.dump_bwd.assign(bwd.begin(), bwd.end());
+    im.dumpable = true;
+  }
 }
 
 void TimerV2::run_forward(const std::vector<int>& pins) {
@@ -166,7 +174,18 @@ void TimerV2::run_backward(const std::vector<int>& pins) {
   run_update({}, pins);
 }
 
-std::string TimerV2::dump_last_task_graph() const { return _impl->last_dot; }
+std::string TimerV2::dump_last_task_graph() const {
+  Impl& im = *_impl;
+  if (!im.dumpable) return {};
+  for (int p : im.dump_fwd) {
+    im.fwd_task[static_cast<std::size_t>(p)].name("fwd:" + _netlist->pin_name(p));
+  }
+  for (int p : im.dump_bwd) {
+    im.bwd_task[static_cast<std::size_t>(p)].name("bwd:" + _netlist->pin_name(p));
+  }
+  if (!im.barrier.empty()) im.barrier.name("forward/backward");
+  return im.taskflow.dump();
+}
 
 void TimerV2::set_observer(std::shared_ptr<tf::ExecutorObserverInterface> observer) {
   _impl->executor.set_observer(std::move(observer));

@@ -641,6 +641,29 @@ TEST(Admission, NewTaskflowAtAReusedAddressStartsClosed) {
   executor.wait_for_all();
 }
 
+TEST(Admission, DeadTaskflowsLeaveNoRecords) {
+  // A taskflow that dies with an open breaker takes its breaker with it:
+  // no later submission can reach its record, so it must not count.
+  tf::ExecutorOptions opts;
+  opts.breaker_threshold = 1;
+  opts.breaker_cooldown = 1ms;
+  tf::Executor executor(3, opts);
+  for (int i = 0; i < 100; ++i) {
+    tf::Taskflow flow;
+    flow.emplace([] { throw Boom(); });
+    auto handle = executor.run(flow);
+    ASSERT_EQ(handle.wait_for(kDeadline), std::future_status::ready);
+    EXPECT_THROW(handle.get(), Boom);
+  }
+  std::this_thread::sleep_for(50ms);
+  tf::Taskflow good;
+  good.emplace([] {});
+  executor.run(good).get();
+  const auto metrics = executor.metrics();
+  EXPECT_EQ(metrics.breakers_open, 0u);
+  EXPECT_EQ(metrics.breaker_trips, 100u);
+}
+
 // ---------------------------------------------------------------------------
 // Observability: counters, dump_state.
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -237,7 +238,8 @@ class Harness {
     run.band = band;
     const std::size_t pending = count(-1, live);
     const std::size_t client_pending = count(c, live);
-    const Verdict verdict = _admission.admit(run.record, key_of(c), band, kCost[c], now());
+    const Verdict verdict =
+        _admission.admit(run.record, key_of(c), _owner, band, kCost[c], now());
 
     Mirror& m = _mirror[c];
     const bool breaker_refuses =
@@ -505,6 +507,7 @@ class Harness {
   tf::ExecutorOptions _options;
   Admission _admission;
   int _runs_per_client;
+  const std::shared_ptr<const int> _owner = std::make_shared<const int>();  // every client lives
   std::deque<ModelRun> _runs;  // stable addresses: the module links records
   std::deque<int> _fifo[kClients];
   Mirror _mirror[kClients];
@@ -614,20 +617,21 @@ TEST(AdmissionModel, RefusedShedAndWithdrawnRunsLeaveNoRecord) {
   options.shed_watermark = 1;
   Admission admission(options);
   const Admission::TimePoint now{};
+  const auto owner = std::make_shared<const int>();
   Admission::Run a, b, c, d;
 
-  ASSERT_EQ(admission.admit(a, 1, 1, 1, now), Verdict::admitted);
+  ASSERT_EQ(admission.admit(a, 1, owner, 1, 1, now), Verdict::admitted);
   ASSERT_TRUE(admission.head(a));  // no concurrency cap: started
   EXPECT_EQ(admission.shed(a), nullptr);
 
-  ASSERT_EQ(admission.admit(b, 2, 1, 1, now), Verdict::admitted);  // queued behind
-  EXPECT_EQ(admission.admit(c, 3, 1, 1, now), Verdict::full);      // refused
+  ASSERT_EQ(admission.admit(b, 2, owner, 1, 1, now), Verdict::admitted);  // queued behind
+  EXPECT_EQ(admission.admit(c, 3, owner, 1, 1, now), Verdict::full);      // refused
   EXPECT_EQ(admission.clients().count(3), 0u);
   EXPECT_EQ(admission.shed(b), &b);  // pending 2 > watermark 1
   EXPECT_EQ(b.state, State::shed);
   EXPECT_EQ(admission.clients().count(2), 0u);
 
-  ASSERT_EQ(admission.admit(d, 4, 1, 1, now), Verdict::admitted);
+  ASSERT_EQ(admission.admit(d, 4, owner, 1, 1, now), Verdict::admitted);
   admission.withdraw(d);  // rolled back before it was queued
   EXPECT_EQ(admission.clients().count(4), 0u);
 
@@ -636,6 +640,30 @@ TEST(AdmissionModel, RefusedShedAndWithdrawnRunsLeaveNoRecord) {
   EXPECT_EQ(admission.pending(), 0u);
   EXPECT_EQ(admission.started(), 0u);
   EXPECT_EQ(admission.admitted(), 2u);  // a and b; d was withdrawn
+}
+
+// A record that outlives its last run (here a failure count under the
+// breaker threshold) goes once its client is gone: the next new record
+// sweeps it.
+TEST(AdmissionModel, DeadClientLeavesNoRecord) {
+  tf::ExecutorOptions options;
+  options.breaker_threshold = 3;
+  Admission admission(options);
+  const Admission::TimePoint now{};
+  auto dead = std::make_shared<const int>();
+  const auto live = std::make_shared<const int>();
+  Admission::Run a, b;
+
+  ASSERT_EQ(admission.admit(a, 1, dead, 1, 1, now), Verdict::admitted);
+  ASSERT_TRUE(admission.head(a));
+  EXPECT_EQ(admission.finish(a, true, now, nullptr), nullptr);
+  ASSERT_EQ(admission.clients().count(1), 1u);
+  EXPECT_EQ(admission.clients().at(1).failures, 1);
+
+  dead.reset();
+  ASSERT_EQ(admission.admit(b, 2, live, 1, 1, now), Verdict::admitted);
+  EXPECT_EQ(admission.clients().count(1), 0u);
+  EXPECT_EQ(admission.clients().count(2), 1u);
 }
 
 }  // namespace
